@@ -40,6 +40,7 @@ from .mlp import (
     unpack_params,
 )
 from .optim import (
+    STATUS_DIVERGED,
     BfgsState,
     CurvatureError,
     GdConfig,

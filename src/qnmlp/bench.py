@@ -126,10 +126,9 @@ class BenchConfig:
     wolfe: WolfeConfig = field(default_factory=WolfeConfig)
 
     def __post_init__(self):
-        if self.n_samples < 10:
-            raise ValueError(f"need at least 10 samples, got {self.n_samples}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
+        _split_index(self.n_samples, self.train_fraction)
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if self.optimizer not in ("gd", "bfgs"):
@@ -153,13 +152,19 @@ class TrainReport:
             raise ValueError("error percentages must be finite")
 
 
-def sample_dataset(fn: BenchFunction, n: int, train_fraction: float, seed: int) -> Dataset:
-    """n uniform domain points, normalized targets, seeded shuffle and split."""
+def _split_index(n: int, train_fraction: float) -> int:
+    """Number of training rows among n samples; both partitions must be non-empty."""
     if n < 10:
         raise ValueError(f"need at least 10 samples, got {n}")
     split_index = int(round(train_fraction * n))
     if not 1 <= split_index < n:
         raise ValueError(f"train_fraction {train_fraction} gives a degenerate split for {n} rows")
+    return split_index
+
+
+def sample_dataset(fn: BenchFunction, n: int, train_fraction: float, seed: int) -> Dataset:
+    """n uniform domain points, normalized targets, seeded shuffle and split."""
+    split_index = _split_index(n, train_fraction)
     rng = np.random.default_rng(seed)
     inputs = rng.uniform(fn.domain_lo, fn.domain_hi, size=(n, 2))
     raw = fn.eval(inputs[:, 0], inputs[:, 1])

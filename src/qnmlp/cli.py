@@ -26,6 +26,7 @@ from .optim import (
     GdConfig,
     StopCriteria,
     WolfeConfig,
+    STATUS_DIVERGED,
     STATUS_LINE_SEARCH_FAILED,
 )
 
@@ -145,17 +146,21 @@ def _validate_options(o: dict) -> None:
 
 
 def _bench_config(options: dict, optimizer: str, function: str) -> BenchConfig:
-    return BenchConfig(
-        function=get_function(function),
-        n_samples=options["samples"],
-        train_fraction=options["train_fraction"],
-        seed=options["seed"],
-        hidden=options["hidden"],
-        optimizer=optimizer,
-        gd=GdConfig(eta=options["eta"], epochs=options["epochs"], mode="online"),
-        stop=StopCriteria(grad_tol=options["grad_tol"], max_iters=options["max_iters"]),
-        wolfe=WolfeConfig(c1=options["c1"], c2=options["c2"]),
-    )
+    """The run's configuration; a value the config classes reject is a usage error."""
+    try:
+        return BenchConfig(
+            function=get_function(function),
+            n_samples=options["samples"],
+            train_fraction=options["train_fraction"],
+            seed=options["seed"],
+            hidden=options["hidden"],
+            optimizer=optimizer,
+            gd=GdConfig(eta=options["eta"], epochs=options["epochs"], mode="online"),
+            stop=StopCriteria(grad_tol=options["grad_tol"], max_iters=options["max_iters"]),
+            wolfe=WolfeConfig(c1=options["c1"], c2=options["c2"]),
+        )
+    except ValueError as err:
+        raise UsageError(str(err)) from None
 
 
 def _fmt(value) -> str:
@@ -233,11 +238,12 @@ def _report_pairs(report: TrainReport, options: dict, function: str, optimizer: 
 
 
 def _exit_for(report: TrainReport) -> int:
-    return EXIT_NUMERICAL if report.status == STATUS_LINE_SEARCH_FAILED else EXIT_OK
+    return EXIT_NUMERICAL if report.status in (STATUS_LINE_SEARCH_FAILED, STATUS_DIVERGED) else EXIT_OK
 
 
-def _run_train_into(out: Path, options: dict, function: str, optimizer: str, subcommand: str) -> int:
-    report = run_benchmark(_bench_config(options, optimizer, function))
+def _run_train_into(out: Path, options: dict, cfg: BenchConfig, subcommand: str) -> int:
+    function, optimizer = cfg.function.name, cfg.optimizer
+    report = run_benchmark(cfg)
     _write_history(out / "history.csv", report.history)
     _write_keyvalues(out / "report.txt", _report_pairs(report, options, function, optimizer))
     manifest_options = dict(options, function=function, optimizer=optimizer)
@@ -250,34 +256,37 @@ def _run_train_into(out: Path, options: dict, function: str, optimizer: str, sub
 
 def cmd_train(args) -> int:
     options = _resolve_options(args, required=("function", "optimizer"))
+    cfg = _bench_config(options, options["optimizer"], options["function"])
     out = _out_dir(options)
-    return _run_train_into(out, options, options["function"], options["optimizer"], "train")
+    return _run_train_into(out, options, cfg, "train")
 
 
 def cmd_bench(args) -> int:
     options = _resolve_options(args, required=("optimizer",))
+    configs = [_bench_config(options, options["optimizer"], function) for function in ("beale", "booth")]
     base = _out_dir(options)
     worst = EXIT_OK
-    for function in ("beale", "booth"):
-        sub = dict(options, out=str(base / function))
+    for cfg in configs:
+        sub = dict(options, out=str(base / cfg.function.name))
         out = _out_dir(sub)
-        worst = max(worst, _run_train_into(out, sub, function, options["optimizer"], "bench"))
+        worst = max(worst, _run_train_into(out, sub, cfg, "bench"))
     return worst
 
 
 def cmd_compare(args) -> int:
     options = _resolve_options(args, required=("function",))
+    # One config validates the settings both optimizers share; its optimizer field is unused.
+    cfg = _bench_config(options, "gd", options["function"])
     out = _out_dir(options)
-    function = get_function(options["function"])
     gd_report, bfgs_report = run_comparison(
-        function,
-        options["seed"],
-        gd_cfg=GdConfig(eta=options["eta"], epochs=options["epochs"], mode="online"),
-        bfgs_stop=StopCriteria(grad_tol=options["grad_tol"], max_iters=options["max_iters"]),
-        wolfe=WolfeConfig(c1=options["c1"], c2=options["c2"]),
-        n_samples=options["samples"],
-        train_fraction=options["train_fraction"],
-        hidden=options["hidden"],
+        cfg.function,
+        cfg.seed,
+        gd_cfg=cfg.gd,
+        bfgs_stop=cfg.stop,
+        wolfe=cfg.wolfe,
+        n_samples=cfg.n_samples,
+        train_fraction=cfg.train_fraction,
+        hidden=cfg.hidden,
     )
     rows = [("gd", gd_report), ("bfgs", bfgs_report)]
     lines = [COMPARISON_HEADER]

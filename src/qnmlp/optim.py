@@ -16,13 +16,14 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import linalg
-from .mlp import Dataset, Network, loss_and_grad, loss_mse, sigmoid, unpack_params
+from .mlp import Dataset, Network, loss_and_grad, loss_mse, unpack_params
 
 __all__ = [
     "STATUS_CONVERGED_GRAD",
     "STATUS_CONVERGED_FTOL",
     "STATUS_MAX_ITERS",
     "STATUS_LINE_SEARCH_FAILED",
+    "STATUS_DIVERGED",
     "CURVATURE_FLOOR",
     "CurvatureError",
     "LineSearchError",
@@ -45,6 +46,7 @@ STATUS_CONVERGED_GRAD = "converged_grad"
 STATUS_CONVERGED_FTOL = "converged_ftol"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_LINE_SEARCH_FAILED = "line_search_failed"
+STATUS_DIVERGED = "diverged"  # gradient descent only: the loss or a parameter went non-finite
 
 # The inverse-Hessian update is skipped when y.s <= floor * |y| * |s|;
 # skipping (rather than damping) keeps plain BFGS semantics.
@@ -435,14 +437,20 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
     ``online`` mode sweeps the training rows in stored order, updating
     after each one with the delta rule (weights by eta*delta*activation,
     biases by eta*delta); ``batch`` mode takes one step along the exact
-    averaged gradient per epoch. History records the full-train MSE once
-    per epoch. A non-finite loss or parameter ends the run early with
-    status ``line_search_failed`` and the last finite parameters.
+    averaged gradient per epoch. The online step treats the single output
+    unit as a scalar (``loss_mse`` rejects other widths up front) and
+    gives bit-for-bit the parameters of the textbook form built from
+    ``mlp.sigmoid`` and ``np.outer``. History records the full-train MSE
+    once per epoch. A non-finite loss or parameter ends the run early
+    with status ``diverged`` and the parameters of the last finite epoch.
     """
     params = np.array(net.params)
     w1, b1, w2, b2 = unpack_params(net.topology, params)
+    w2_row = w2[0]
+    eta = cfg.eta
     x_train, targets = data.rows("train")
-    # Validates topology-vs-data consistency up front.
+    # Validates topology-vs-data consistency up front, including n_out == 1,
+    # which lets the online loop carry the output unit as a scalar.
     f = loss_mse(net, data, "train")
     grad_norm = linalg.norm2(loss_and_grad(net, data, "train")[1])
     history = [(0, f, grad_norm)]
@@ -453,29 +461,35 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
     for epoch in range(1, cfg.epochs + 1):
         previous = params.copy()
         if cfg.mode == "online":
-            for i in range(x_train.shape[0]):
-                xi = x_train[i]
-                hidden = sigmoid(w1 @ xi + b1)
-                out = sigmoid(w2 @ hidden + b2)
-                delta_out = out * (1.0 - out) * (targets[i] - out)
-                delta_hid = hidden * (1.0 - hidden) * (w2.T @ delta_out)
-                w2 += cfg.eta * np.outer(delta_out, hidden)
-                b2 += cfg.eta * delta_out
-                w1 += cfg.eta * np.outer(delta_hid, xi)
-                b1 += cfg.eta * delta_hid
+            # mlp.sigmoid's formula and operation order, inlined: same bits,
+            # half the per-row numpy calls. The output unit's exp stays numpy's
+            # (math.exp rounds differently on some arguments).
+            for xi, target in zip(x_train, targets.tolist()):
+                z = w1 @ xi + b1
+                e = np.exp(-np.abs(z))
+                hidden = np.where(z >= 0, 1.0, e) / (1.0 + e)
+                z_out = float((w2 @ hidden + b2)[0])
+                e_out = float(np.exp(np.float64(-abs(z_out))))
+                out = (1.0 if z_out >= 0 else e_out) / (1.0 + e_out)
+                d_out = out * (1.0 - out) * (target - out)
+                delta_hid = hidden * (1.0 - hidden) * (w2_row * d_out)
+                w2_row += eta * (d_out * hidden)
+                b2 += eta * d_out
+                w1 += eta * (delta_hid[:, None] * xi)
+                b1 += eta * delta_hid
         else:
             grad = loss_and_grad(net.with_params(params), data, "train")[1]
-            params -= cfg.eta * grad
+            params -= eta * grad
 
         if not np.all(np.isfinite(params)):
             params = previous
-            status = STATUS_LINE_SEARCH_FAILED
+            status = STATUS_DIVERGED
             break
         current = net.with_params(params)
         f, grad = loss_and_grad(current, data, "train")
         if not np.isfinite(f):
             params = previous
-            status = STATUS_LINE_SEARCH_FAILED
+            status = STATUS_DIVERGED
             break
         iters = epoch
         grad_norm = linalg.norm2(grad)

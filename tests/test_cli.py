@@ -26,6 +26,18 @@ def read_report(path):
     return pairs
 
 
+def fake_run_benchmark_ending(status):
+    """A stand-in for cli.run_benchmark whose run ends with the given status."""
+    from qnmlp.bench import TrainReport
+
+    def fake_run_benchmark(cfg):
+        return TrainReport(train_error_pct=1.0, test_error_pct=1.0, iterations=3,
+                           wall_clock_s=0.0, history=[(0, 1.0, 1.0, 1.0)],
+                           status=status, init_params_hash="0" * 64)
+
+    return fake_run_benchmark
+
+
 class TestTrain:
     def test_writes_three_files_and_exits_zero(self, tmp_path):
         out = tmp_path / "run"
@@ -79,15 +91,14 @@ class TestTrain:
         assert "not writable" in capsys.readouterr().err
 
     def test_line_search_failure_maps_to_exit_2(self, tmp_path, monkeypatch):
-        from qnmlp.bench import TrainReport
-
-        def fake_run_benchmark(cfg):
-            return TrainReport(train_error_pct=1.0, test_error_pct=1.0, iterations=3,
-                               wall_clock_s=0.0, history=[(0, 1.0, 1.0, 1.0)],
-                               status="line_search_failed", init_params_hash="0" * 64)
-
-        monkeypatch.setattr(cli, "run_benchmark", fake_run_benchmark)
+        monkeypatch.setattr(cli, "run_benchmark", fake_run_benchmark_ending("line_search_failed"))
         code = run_cli(["train", "--function", "booth", "--optimizer", "bfgs",
+                        "--out", str(tmp_path)] + SMALL)
+        assert code == 2
+
+    def test_divergence_maps_to_exit_2(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "run_benchmark", fake_run_benchmark_ending("diverged"))
+        code = run_cli(["train", "--function", "booth", "--optimizer", "gd",
                         "--out", str(tmp_path)] + SMALL)
         assert code == 2
 
@@ -263,6 +274,21 @@ class TestRunManifest:
 class TestUsage:
     def test_no_subcommand(self, capsys):
         assert run_cli([]) == 1
+
+    @pytest.mark.parametrize("command", [["train", "--function", "booth", "--optimizer", "gd"],
+                                         ["compare", "--function", "booth"]],
+                             ids=["train", "compare"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--samples", "10", "--train-fraction", "0.96"], "degenerate split"),
+        (["--eta", "inf"], "eta"),
+    ], ids=["degenerate-split", "eta-inf"])
+    def test_config_rejected_without_traceback(self, tmp_path, capsys, command, flags, message):
+        out = tmp_path / "run"
+        code = run_cli(command + flags + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
 
     def test_bad_numeric_flag_value(self, tmp_path, capsys):
         code = run_cli(["train", "--function", "booth", "--optimizer", "bfgs",

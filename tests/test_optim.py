@@ -19,14 +19,18 @@ from qnmlp import (
     gd_train,
     grad_backprop,
     init_params,
+    loss_and_grad,
     loss_mse,
     sample_dataset,
+    sigmoid,
+    unpack_params,
     wolfe_line_search,
 )
-from qnmlp import BOOTH, linalg
+from qnmlp import BEALE, BOOTH, linalg
 from qnmlp.optim import (
     STATUS_CONVERGED_FTOL,
     STATUS_CONVERGED_GRAD,
+    STATUS_DIVERGED,
     STATUS_LINE_SEARCH_FAILED,
     STATUS_MAX_ITERS,
 )
@@ -288,7 +292,51 @@ def tiny_training_setup(seed=0, rows=6, hidden=3):
     return net, data
 
 
+def reference_online_gd(net, data, eta, epochs):
+    """Online delta rule in its textbook form: mlp.sigmoid on both layers, np.outer updates.
+
+    Returns the final parameters and the (epoch, train MSE, gradient norm)
+    history, computed the way gd_train computes it.
+    """
+    params = np.array(net.params)
+    w1, b1, w2, b2 = unpack_params(net.topology, params)
+    x_train, targets = data.rows("train")
+    history = [(0, loss_mse(net, data, "train"), linalg.norm2(loss_and_grad(net, data, "train")[1]))]
+    for epoch in range(1, epochs + 1):
+        for i in range(x_train.shape[0]):
+            xi = x_train[i]
+            hidden = sigmoid(w1 @ xi + b1)
+            out = sigmoid(w2 @ hidden + b2)
+            delta_out = out * (1.0 - out) * (targets[i] - out)
+            delta_hid = hidden * (1.0 - hidden) * (w2.T @ delta_out)
+            w2 += eta * np.outer(delta_out, hidden)
+            b2 += eta * delta_out
+            w1 += eta * np.outer(delta_hid, xi)
+            b1 += eta * delta_hid
+        f, grad = loss_and_grad(net.with_params(params), data, "train")
+        history.append((epoch, f, linalg.norm2(grad)))
+    return params, history
+
+
 class TestGdTrain:
+    @pytest.mark.parametrize("function", [BEALE, BOOTH], ids=["beale", "booth"])
+    @pytest.mark.parametrize("hidden", [1, 10])
+    @pytest.mark.parametrize("scale", [1.0, 50.0], ids=["plain", "saturating"])
+    def test_online_bit_identical_to_reference(self, function, hidden, scale):
+        data = sample_dataset(function, 60, 0.8, 7)
+        topology = Topology(2, hidden, 1)
+        net = Network(topology, scale * init_params(topology, 7))
+        if scale > 1.0:
+            # both branches of the overflow-safe sigmoid, deep in saturation
+            w1, b1, _, _ = unpack_params(topology, net.params)
+            z = data.rows("train")[0] @ w1.T + b1
+            assert z.max() > 40.0 and z.min() < -40.0
+        trained, res = gd_train(net, data, GdConfig(eta=0.1, epochs=12))
+        params, history = reference_online_gd(net, data, 0.1, 12)
+        assert res.status == STATUS_MAX_ITERS
+        assert np.array_equal(trained.params, params)
+        assert res.history == history
+
     def test_vanishing_eta_changes_nothing(self):
         net, data = tiny_training_setup()
         initial = loss_mse(net, data, "train")
@@ -348,7 +396,7 @@ class TestGdTrain:
 
         monkeypatch.setattr(optim_module, "loss_and_grad", poisoned)
         trained, res = gd_train(net, data, GdConfig(eta=0.1, epochs=10))
-        assert res.status == STATUS_LINE_SEARCH_FAILED
+        assert res.status == STATUS_DIVERGED
         assert res.iters < 10
         assert len(res.history) == res.iters + 1
         assert np.all(np.isfinite(trained.params))
