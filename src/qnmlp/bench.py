@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -126,6 +126,8 @@ class BenchConfig:
     wolfe: WolfeConfig = field(default_factory=WolfeConfig)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
         _split_index(self.n_samples, self.train_fraction)
@@ -203,11 +205,16 @@ def _train_and_report(net0: Network, data: Dataset, cfg: BenchConfig) -> TrainRe
     )
 
 
-def run_benchmark(cfg: BenchConfig) -> TrainReport:
-    """Sample, train with the configured optimizer, time it, report."""
+def _setup(cfg: BenchConfig):
+    """The dataset and the initial network that a run of cfg starts from."""
     data = sample_dataset(cfg.function, cfg.n_samples, cfg.train_fraction, cfg.seed)
     topology = Topology(2, cfg.hidden, 1)
-    net0 = Network(topology, init_params(topology, cfg.seed))
+    return data, Network(topology, init_params(topology, cfg.seed))
+
+
+def run_benchmark(cfg: BenchConfig) -> TrainReport:
+    """Sample, train with the configured optimizer, time it, report."""
+    data, net0 = _setup(cfg)
     return _train_and_report(net0, data, cfg)
 
 
@@ -220,11 +227,10 @@ def run_comparison(function: BenchFunction, shared_seed: int,
 
     Returns (gd_report, bfgs_report).
     """
-    base = dict(function=function, n_samples=n_samples, train_fraction=train_fraction,
-                seed=shared_seed, hidden=hidden, gd=gd_cfg, stop=bfgs_stop, wolfe=wolfe)
-    data = sample_dataset(function, n_samples, train_fraction, shared_seed)
-    topology = Topology(2, hidden, 1)
-    net0 = Network(topology, init_params(topology, shared_seed))
-    gd_report = _train_and_report(net0, data, BenchConfig(optimizer="gd", **base))
-    bfgs_report = _train_and_report(net0, data, BenchConfig(optimizer="bfgs", **base))
+    cfg = BenchConfig(function=function, n_samples=n_samples, train_fraction=train_fraction,
+                      seed=shared_seed, hidden=hidden, optimizer="gd", gd=gd_cfg, stop=bfgs_stop,
+                      wolfe=wolfe)
+    data, net0 = _setup(cfg)
+    gd_report = _train_and_report(net0, data, cfg)
+    bfgs_report = _train_and_report(net0, data, replace(cfg, optimizer="bfgs"))
     return gd_report, bfgs_report

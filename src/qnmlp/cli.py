@@ -116,33 +116,7 @@ def _resolve_options(args, required: tuple = ()) -> dict:
     for key in required:
         if options.get(key) is None:
             raise UsageError(f"missing required option --{key.replace('_', '-')}")
-    _validate_options(options)
     return options
-
-
-def _validate_options(o: dict) -> None:
-    if o["function"] is not None and o["function"] not in ("beale", "booth"):
-        raise UsageError(f"unknown function {o['function']!r}; choose 'beale' or 'booth'")
-    if o["optimizer"] is not None and o["optimizer"] not in ("gd", "bfgs"):
-        raise UsageError(f"unknown optimizer {o['optimizer']!r}; choose 'gd' or 'bfgs'")
-    if o["hidden"] < 1:
-        raise UsageError(f"--hidden must be >= 1, got {o['hidden']}")
-    if o["samples"] < 10:
-        raise UsageError(f"--samples must be >= 10, got {o['samples']}")
-    if not 0.0 < o["train_fraction"] < 1.0:
-        raise UsageError(f"--train-fraction must be in (0, 1), got {o['train_fraction']}")
-    if o["seed"] < 0:
-        raise UsageError(f"--seed must be >= 0, got {o['seed']}")
-    if not o["eta"] > 0:
-        raise UsageError(f"--eta must be positive, got {o['eta']}")
-    if o["epochs"] < 1:
-        raise UsageError(f"--epochs must be >= 1, got {o['epochs']}")
-    if o["max_iters"] < 1:
-        raise UsageError(f"--max-iters must be >= 1, got {o['max_iters']}")
-    if not o["grad_tol"] >= 0:
-        raise UsageError(f"--grad-tol must be >= 0, got {o['grad_tol']}")
-    if not 0.0 < o["c1"] < o["c2"] < 1.0:
-        raise UsageError(f"need 0 < c1 < c2 < 1, got c1={o['c1']}, c2={o['c2']}")
 
 
 def _bench_config(options: dict, optimizer: str, function: str) -> BenchConfig:
@@ -351,6 +325,8 @@ def cmd_gradcheck(args) -> int:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     if args.hidden is not None and args.hidden < 1:
         raise UsageError(f"--hidden must be >= 1, got {args.hidden}")
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     seed = args.seed if args.seed is not None else DEFAULTS["seed"]
     worst = _gradcheck_max_error(args.trials, seed, args.hidden, sabotage=args.sabotage)
     print(f"gradcheck: {args.trials} trials, max relative error {worst:.3e} (tolerance {GRADCHECK_TOL:g})")

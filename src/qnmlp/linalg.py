@@ -1,9 +1,10 @@
-"""Small dense linear-algebra kernel used by the optimizers.
+"""Small dense linear-algebra checks used by the optimizers.
 
-Everything is 64-bit float. Vectors are 1-D numpy arrays, matrices are
-2-D row-major numpy arrays. The ``vector``/``matrix`` constructors
-validate shape and finiteness, so NaN/Inf from a diverging computation
-is caught at the boundary where it enters instead of propagating.
+Everything is 64-bit float: vectors are 1-D numpy arrays, matrices are
+2-D row-major numpy arrays. ``dot`` is a shape-checked inner product;
+``is_symmetric`` and ``is_spd`` test the inverse-Hessian invariants.
+Other products and norms are plain numpy (``@``, ``np.outer``,
+``np.linalg.norm``).
 """
 
 from __future__ import annotations
@@ -12,40 +13,11 @@ import math
 
 import numpy as np
 
-__all__ = [
-    "vector",
-    "matrix",
-    "dot",
-    "matvec",
-    "outer",
-    "norm2",
-    "is_symmetric",
-    "is_spd",
-]
+__all__ = ["dot", "is_symmetric", "is_spd"]
 
 # Asymmetry allowed for a matrix that claims to be symmetric, relative
 # to max(1, |a_ij|).
 SYMMETRY_RTOL = 1e-12
-
-
-def vector(values) -> np.ndarray:
-    """Validate and return a finite 1-D float64 vector."""
-    v = np.asarray(values, dtype=np.float64)
-    if v.ndim != 1 or v.size < 1:
-        raise ValueError(f"expected a 1-D vector with at least one element, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector elements must all be finite")
-    return v
-
-
-def matrix(values) -> np.ndarray:
-    """Validate and return a finite 2-D float64 matrix."""
-    m = np.asarray(values, dtype=np.float64)
-    if m.ndim != 2 or m.size < 1:
-        raise ValueError(f"expected a non-empty 2-D matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix elements must all be finite")
-    return m
 
 
 def dot(a, b) -> float:
@@ -54,24 +26,6 @@ def dot(a, b) -> float:
     if a.ndim != 1 or a.shape != b.shape:
         raise ValueError(f"dot needs two equal-length vectors, got shapes {a.shape} and {b.shape}")
     return float(np.dot(a, b))
-
-
-def matvec(m, v) -> np.ndarray:
-    m = np.asarray(m)
-    v = np.asarray(v)
-    if m.ndim != 2 or v.ndim != 1 or m.shape[1] != v.size:
-        raise ValueError(f"matvec shape mismatch: {m.shape} times {v.shape}")
-    return m @ v
-
-
-def outer(a, b) -> np.ndarray:
-    """Rank-one matrix a b^T."""
-    return np.outer(np.asarray(a), np.asarray(b))
-
-
-def norm2(v) -> float:
-    """Euclidean norm."""
-    return float(np.linalg.norm(np.asarray(v)))
 
 
 def is_symmetric(m, rtol: float = SYMMETRY_RTOL) -> bool:

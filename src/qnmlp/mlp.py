@@ -196,10 +196,8 @@ def forward(net: Network, x):
     t = net.topology
     if x.shape != (t.n_in,):
         raise ValueError(f"input has shape {x.shape}, expected ({t.n_in},)")
-    w1, b1, w2, b2 = unpack_params(t, net.params)
-    hidden = sigmoid(w1 @ x + b1)
-    out = sigmoid(w2 @ hidden + b2)
-    return hidden, out
+    hidden, out = _forward_batch(unpack_params(t, net.params), x[None, :])
+    return hidden[0], out[0]
 
 
 def _check_net_vs_data(net: Network, data: Dataset) -> None:
@@ -210,10 +208,11 @@ def _check_net_vs_data(net: Network, data: Dataset) -> None:
         raise ValueError("dataset training needs a single output unit")
 
 
-def _forward_batch(topology: Topology, params: np.ndarray, x: np.ndarray):
-    w1, b1, w2, b2 = unpack_params(topology, params)
-    hidden = sigmoid(x @ w1.T + b1)
-    out = sigmoid(hidden @ w2.T + b2)
+def _forward_batch(weights, x: np.ndarray):
+    """The forward pass over rows x, given ``unpack_params``' views; returns (hidden, out)."""
+    w1, b1, w2, b2 = weights
+    hidden = sigmoid(x @ w1.T + b1)  # (n, n_hidden)
+    out = sigmoid(hidden @ w2.T + b2)  # (n, n_out)
     return hidden, out
 
 
@@ -221,7 +220,7 @@ def loss_mse(net: Network, data: Dataset, rows: str = "train") -> float:
     """Mean squared error against normalized targets on the selected rows."""
     _check_net_vs_data(net, data)
     x, t = data.rows(rows)
-    _, out = _forward_batch(net.topology, net.params, x)
+    _, out = _forward_batch(unpack_params(net.topology, net.params), x)
     r = out[:, 0] - t
     return float(np.mean(r * r))
 
@@ -231,15 +230,14 @@ def loss_and_grad(net: Network, data: Dataset, rows: str = "train"):
     _check_net_vs_data(net, data)
     x, t = data.rows(rows)
     topo = net.topology
-    w1, b1, w2, b2 = unpack_params(topo, net.params)
-    hidden = sigmoid(x @ w1.T + b1)  # (n, n_hidden)
-    out = sigmoid(hidden @ w2.T + b2)  # (n, 1)
+    weights = unpack_params(topo, net.params)
+    hidden, out = _forward_batch(weights, x)
     resid = out[:, 0] - t
     loss = float(np.mean(resid * resid))
 
     n = x.shape[0]
     d_out = (2.0 / n) * resid[:, None] * out * (1.0 - out)  # (n, 1)
-    d_hid = (d_out @ w2) * hidden * (1.0 - hidden)  # (n, n_hidden)
+    d_hid = (d_out @ weights[2]) * hidden * (1.0 - hidden)  # (n, n_hidden); weights[2] is W_hidden_out
     grad = np.empty_like(net.params)
     gw1, gb1, gw2, gb2 = unpack_params(topo, grad)
     gw1[:] = d_hid.T @ x

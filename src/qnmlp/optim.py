@@ -134,8 +134,8 @@ class StopCriteria:
     f_tol: float = 0.0
 
     def __post_init__(self):
-        if self.grad_tol < 0 or self.f_tol < 0:
-            raise ValueError("tolerances must be >= 0")
+        if not (self.grad_tol >= 0 and self.f_tol >= 0):
+            raise ValueError(f"tolerances must be >= 0, got grad_tol={self.grad_tol}, f_tol={self.f_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -283,9 +283,9 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> 
     rho = 1.0 / ys
     n = s.size
     eye = np.eye(n)
-    left = eye - rho * linalg.outer(s, y)
-    right = eye - rho * linalg.outer(y, s)
-    updated = left @ np.asarray(h_inv, dtype=np.float64) @ right + rho * linalg.outer(s, s)
+    left = eye - rho * np.outer(s, y)
+    right = eye - rho * np.outer(y, s)
+    updated = left @ np.asarray(h_inv, dtype=np.float64) @ right + rho * np.outer(s, s)
     return 0.5 * (updated + updated.T)
 
 
@@ -299,11 +299,11 @@ def bfgs_update_hessian(b: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarr
     if not ys > 0:
         raise CurvatureError(f"curvature condition violated: y.s = {ys:g}")
     b = np.asarray(b, dtype=np.float64)
-    bs = linalg.matvec(b, s)
+    bs = b @ s
     sbs = linalg.dot(s, bs)
     if not sbs > 0:
         raise CurvatureError(f"s.B.s = {sbs:g} is not positive")
-    updated = b + linalg.outer(y, y) / ys - linalg.outer(bs, bs) / sbs
+    updated = b + np.outer(y, y) / ys - np.outer(bs, bs) / sbs
     return 0.5 * (updated + updated.T)
 
 
@@ -319,14 +319,14 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     failure ends the run with status ``line_search_failed`` at the best
     point seen.
     """
-    x = linalg.vector(x0).copy()
-    if x.size != obj.dim:
-        raise ValueError(f"x0 has length {x.size}, objective dim is {obj.dim}")
+    x = np.array(x0, dtype=np.float64)
+    if x.shape != (obj.dim,) or not np.all(np.isfinite(x)):
+        raise ValueError(f"x0 must be a finite 1-D vector of length {obj.dim}, got shape {x.shape}")
     f, g = obj.eval(x)
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
     state = BfgsState(x=x, f=f, g=g, h_inv=np.eye(x.size))
-    grad_norm = linalg.norm2(g)
+    grad_norm = np.linalg.norm(g)
     history = [(0, f, grad_norm)]
     if callback is not None:
         callback(0, state.x, f, grad_norm)
@@ -340,7 +340,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
             status = STATUS_MAX_ITERS
             break
 
-        p = -linalg.matvec(state.h_inv, state.g)
+        p = -(state.h_inv @ state.g)
         try:
             if linalg.dot(state.g, p) >= 0:
                 # H lost positive definiteness numerically; force a restart.
@@ -361,7 +361,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                     state.f = failure.f
                     state.g = failure.g
                     state.iteration += 1
-                    grad_norm = linalg.norm2(state.g)
+                    grad_norm = np.linalg.norm(state.g)
                     history.append((state.iteration, state.f, grad_norm))
                     if callback is not None:
                         callback(state.iteration, state.x, state.f, grad_norm)
@@ -372,7 +372,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
         s = x_new - state.x
         y = g_new - state.g
         skipped = False
-        if linalg.dot(y, s) > CURVATURE_FLOOR * linalg.norm2(y) * linalg.norm2(s):
+        if linalg.dot(y, s) > CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
             state.h_inv = bfgs_update_inv_hessian(state.h_inv, s, y)
         else:
             skipped = True
@@ -385,7 +385,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                                 f_new, g_new, s, y, state.h_inv, skipped)
         state.x, state.f, state.g = x_new, f_new, g_new
         state.iteration += 1
-        grad_norm = linalg.norm2(state.g)
+        grad_norm = np.linalg.norm(state.g)
         history.append((state.iteration, state.f, grad_norm))
         if callback is not None:
             callback(state.iteration, state.x, state.f, grad_norm)
@@ -400,7 +400,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     return MinimizeResult(
         x_final=state.x,
         f_final=state.f,
-        grad_norm_final=linalg.norm2(state.g),
+        grad_norm_final=np.linalg.norm(state.g),
         iters=state.iteration,
         status=status,
         history=history,
@@ -452,7 +452,7 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
     # Validates topology-vs-data consistency up front, including n_out == 1,
     # which lets the online loop carry the output unit as a scalar.
     f = loss_mse(net, data, "train")
-    grad_norm = linalg.norm2(loss_and_grad(net, data, "train")[1])
+    grad_norm = np.linalg.norm(loss_and_grad(net, data, "train")[1])
     history = [(0, f, grad_norm)]
     test_history = [loss_mse(net, data, "test")]
 
@@ -492,7 +492,7 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
             status = STATUS_DIVERGED
             break
         iters = epoch
-        grad_norm = linalg.norm2(grad)
+        grad_norm = np.linalg.norm(grad)
         history.append((epoch, f, grad_norm))
         test_history.append(loss_mse(current, data, "test"))
 

@@ -228,6 +228,8 @@ class TestRunBenchmark:
             self.small_cfg(optimizer="adam")
         with pytest.raises(ValueError):
             self.small_cfg(train_fraction=1.0)
+        with pytest.raises(ValueError, match="seed"):
+            self.small_cfg(seed=-1)
 
 
 @pytest.fixture(scope="module")

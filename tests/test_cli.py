@@ -281,7 +281,9 @@ class TestUsage:
     @pytest.mark.parametrize("flags, message", [
         (["--samples", "10", "--train-fraction", "0.96"], "degenerate split"),
         (["--eta", "inf"], "eta"),
-    ], ids=["degenerate-split", "eta-inf"])
+        (["--grad-tol", "nan"], "tolerance"),
+        (["--seed", "-1"], "seed"),
+    ], ids=["degenerate-split", "eta-inf", "grad-tol-nan", "seed-negative"])
     def test_config_rejected_without_traceback(self, tmp_path, capsys, command, flags, message):
         out = tmp_path / "run"
         code = run_cli(command + flags + ["--out", str(out)])
@@ -289,6 +291,16 @@ class TestUsage:
         assert code == 1
         assert err.startswith("error: ") and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--hidden", "0"], "--hidden"),
+        (["--seed", "-1"], "--seed"),
+    ], ids=["hidden-zero", "seed-negative"])
+    def test_gradcheck_rejected_without_traceback(self, capsys, flags, message):
+        code = run_cli(["gradcheck"] + flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_bad_numeric_flag_value(self, tmp_path, capsys):
         code = run_cli(["train", "--function", "booth", "--optimizer", "bfgs",

@@ -4,33 +4,6 @@ import pytest
 from qnmlp import linalg
 
 
-class TestConstructors:
-    def test_vector_rejects_nan(self):
-        with pytest.raises(ValueError):
-            linalg.vector([1.0, np.nan])
-
-    def test_vector_rejects_inf(self):
-        with pytest.raises(ValueError):
-            linalg.vector([np.inf, 0.0])
-
-    def test_vector_rejects_empty(self):
-        with pytest.raises(ValueError):
-            linalg.vector([])
-
-    def test_vector_rejects_2d(self):
-        with pytest.raises(ValueError):
-            linalg.vector([[1.0, 2.0]])
-
-    def test_matrix_rejects_nan(self):
-        with pytest.raises(ValueError):
-            linalg.matrix([[1.0, np.nan], [0.0, 1.0]])
-
-    def test_matrix_accepts_finite(self):
-        m = linalg.matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert m.shape == (2, 2)
-        assert m.dtype == np.float64
-
-
 class TestDot:
     def test_hand_value(self):
         assert linalg.dot([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]) == 32.0
@@ -52,66 +25,6 @@ class TestDot:
         a = rng.standard_normal(17)
         b = rng.standard_normal(17)
         assert linalg.dot(a, b) == linalg.dot(b, a)
-
-
-class TestMatvec:
-    def test_identity(self):
-        v = np.array([3.0, 4.0])
-        assert np.array_equal(linalg.matvec(np.eye(2), v), v)
-
-    def test_hand_value(self):
-        out = linalg.matvec([[1.0, 2.0], [3.0, 4.0]], [1.0, 1.0])
-        assert np.array_equal(out, [3.0, 7.0])
-
-    def test_zero_matrix(self):
-        out = linalg.matvec(np.zeros((2, 2)), [5.0, 6.0])
-        assert np.array_equal(out, [0.0, 0.0])
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            linalg.matvec(np.eye(2), [1.0, 2.0, 3.0])
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_identity_is_exact_for_random_v(self, seed):
-        v = np.random.default_rng(seed).standard_normal(9)
-        assert np.array_equal(linalg.matvec(np.eye(9), v), v)
-
-
-class TestOuter:
-    def test_hand_value(self):
-        assert np.array_equal(linalg.outer([1.0, 0.0], [0.0, 1.0]), [[0.0, 1.0], [0.0, 0.0]])
-
-    def test_single_element(self):
-        assert np.array_equal(linalg.outer([1.0], [1.0]), [[1.0]])
-
-    def test_zero_factor(self):
-        assert np.array_equal(linalg.outer(np.zeros(2), [3.0, -4.0]), np.zeros((2, 2)))
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_transpose_identity(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.standard_normal(4)
-        b = rng.standard_normal(6)
-        assert np.array_equal(linalg.outer(a, b).T, linalg.outer(b, a))
-
-
-class TestNorm2:
-    def test_pythagorean(self):
-        assert linalg.norm2([3.0, 4.0]) == 5.0
-
-    def test_zero(self):
-        assert linalg.norm2(np.zeros(7)) == 0.0
-
-    @pytest.mark.parametrize("x", [-2.5, 0.25, 1e-8])
-    def test_one_dimensional(self, x):
-        assert linalg.norm2([x]) == abs(x)
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_squared_matches_dot(self, seed):
-        v = np.random.default_rng(seed).standard_normal(23)
-        n2 = linalg.norm2(v) ** 2
-        d = linalg.dot(v, v)
-        assert abs(n2 - d) <= 1e-12 * max(1.0, abs(d))
 
 
 class TestIsSpd:

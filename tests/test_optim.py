@@ -86,6 +86,11 @@ class TestConfigValidation:
             StopCriteria(max_iters=0)
         with pytest.raises(ValueError):
             StopCriteria(grad_tol=-1.0)
+        # NaN fails every comparison, so it would silently disable the stopping test.
+        with pytest.raises(ValueError):
+            StopCriteria(grad_tol=float("nan"))
+        with pytest.raises(ValueError):
+            StopCriteria(f_tol=float("nan"))
 
 
 class TestWolfeLineSearch:
@@ -261,10 +266,13 @@ class TestBfgsMinimize:
         # the salvage step keeps the best point the failed search saw
         assert res.f_final <= 0.0
 
-    def test_dimension_mismatch(self):
+    @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(0), np.array([1.0, np.nan]),
+                                    np.array([np.inf, 0.0]), np.zeros((1, 2))],
+                             ids=["length", "empty", "nan", "inf", "2d"])
+    def test_dimension_mismatch(self, x0):
         obj = quadratic_objective(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
-            bfgs_minimize(obj, np.zeros(3))
+            bfgs_minimize(obj, x0)
 
     def test_zero_gradient_with_grad_tol_disabled(self):
         # constant objective: no descent direction exists anywhere
@@ -301,7 +309,7 @@ def reference_online_gd(net, data, eta, epochs):
     params = np.array(net.params)
     w1, b1, w2, b2 = unpack_params(net.topology, params)
     x_train, targets = data.rows("train")
-    history = [(0, loss_mse(net, data, "train"), linalg.norm2(loss_and_grad(net, data, "train")[1]))]
+    history = [(0, loss_mse(net, data, "train"), np.linalg.norm(loss_and_grad(net, data, "train")[1]))]
     for epoch in range(1, epochs + 1):
         for i in range(x_train.shape[0]):
             xi = x_train[i]
@@ -314,7 +322,7 @@ def reference_online_gd(net, data, eta, epochs):
             w1 += eta * np.outer(delta_hid, xi)
             b1 += eta * delta_hid
         f, grad = loss_and_grad(net.with_params(params), data, "train")
-        history.append((epoch, f, linalg.norm2(grad)))
+        history.append((epoch, f, np.linalg.norm(grad)))
     return params, history
 
 
@@ -409,7 +417,7 @@ class TestBfgsTrain:
         inputs = rng.uniform(-1.0, 1.0, size=(5, 2))
         from qnmlp.mlp import _forward_batch
 
-        _, outs = _forward_batch(net.topology, net.params, inputs)
+        _, outs = _forward_batch(unpack_params(net.topology, net.params), inputs)
         data = Dataset(inputs, np.arange(5.0), outs[:, 0], 0.0, 1.0, 4)
         trained, res = bfgs_train(net, data)
         assert res.iters == 0
