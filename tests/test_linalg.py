@@ -27,6 +27,16 @@ class TestDot:
         assert linalg.dot(a, b) == linalg.dot(b, a)
 
 
+class TestNorm2:
+    # optim measures gradients with np.linalg.norm and curvature with
+    # linalg.dot; the two must agree on the squared length.
+    @pytest.mark.parametrize("seed", range(5))
+    def test_squared_matches_dot(self, seed):
+        v = np.random.default_rng(seed).standard_normal(23)
+        n2 = np.linalg.norm(v) ** 2
+        d = linalg.dot(v, v)
+        assert abs(n2 - d) <= 1e-12 * max(1.0, abs(d))
+
 class TestIsSpd:
     def test_identity(self):
         assert linalg.is_spd(np.eye(2), 1e-12)

@@ -266,10 +266,15 @@ class TestBfgsMinimize:
         # the salvage step keeps the best point the failed search saw
         assert res.f_final <= 0.0
 
-    @pytest.mark.parametrize("x0", [np.zeros(3), np.zeros(0), np.array([1.0, np.nan]),
+    def test_dimension_mismatch(self):
+        obj = quadratic_objective(np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError):
+            bfgs_minimize(obj, np.zeros(3))
+
+    @pytest.mark.parametrize("x0", [np.zeros(0), np.array([1.0, np.nan]),
                                     np.array([np.inf, 0.0]), np.zeros((1, 2))],
-                             ids=["length", "empty", "nan", "inf", "2d"])
-    def test_dimension_mismatch(self, x0):
+                             ids=["empty", "nan", "inf", "2d"])
+    def test_x0_rejected(self, x0):
         obj = quadratic_objective(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
             bfgs_minimize(obj, x0)
