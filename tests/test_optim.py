@@ -237,6 +237,52 @@ class TestBfgsMinimize:
                 secant = rec.h_inv_after @ rec.y
                 assert np.all(np.abs(secant - rec.s) <= 1e-9 * np.maximum(1.0, np.abs(rec.s)))
 
+    def test_restart_steps_along_minus_gradient(self, monkeypatch):
+        import qnmlp.optim as optim_module
+
+        real = optim_module.wolfe_line_search
+        calls = {"n": 0}
+
+        def fail_third(obj, x, p, f0, g0, cfg=WolfeConfig()):
+            calls["n"] += 1
+            if calls["n"] == 3:
+                raise LineSearchError("injected", 0.0, f0, g0, 0)
+            return real(obj, x, p, f0, g0, cfg)
+
+        monkeypatch.setattr(optim_module, "wolfe_line_search", fail_third)
+        records = []
+        obj, x0 = random_spd_quadratic(6, 12)
+        res = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-8, max_iters=60),
+                            step_observer=records.append)
+        assert res.status == STATUS_CONVERGED_GRAD
+        assert calls["n"] > 3
+        restart = records[2]
+        assert restart.iteration == 3
+        assert np.array_equal(restart.p, -restart.g)
+        assert not restart.update_skipped
+        assert np.array_equal(restart.h_inv_after,
+                              bfgs_update_inv_hessian(np.eye(6), restart.s, restart.y))
+
+    @pytest.mark.parametrize("case", ["converged", "max_iters", "salvaged"])
+    def test_callback_matches_history(self, case):
+        if case == "salvaged":
+            # unbounded below: both searches exhaust the bracket, the best trial is kept
+            obj, x0 = Objective(lambda x: (-x[0], np.array([-1.0])), 1), np.array([0.0])
+            stop, status = StopCriteria(grad_tol=1e-8, max_iters=10), STATUS_LINE_SEARCH_FAILED
+        elif case == "max_iters":
+            obj, x0 = random_spd_quadratic(6, 3)
+            stop, status = StopCriteria(grad_tol=1e-15, max_iters=2), STATUS_MAX_ITERS
+        else:
+            obj, x0 = random_spd_quadratic(6, 12)
+            stop, status = StopCriteria(grad_tol=1e-8, max_iters=60), STATUS_CONVERGED_GRAD
+        seen = []
+        res = bfgs_minimize(obj, x0, stop,
+                            callback=lambda it, x, f, grad_norm: seen.append((it, f, grad_norm)))
+        assert res.status == status
+        assert len(res.history) == res.iters + 1 >= 2
+        assert seen == res.history
+        assert res.grad_norm_final == res.history[-1][2]
+
     def test_deterministic_histories(self):
         obj, x0 = random_spd_quadratic(5, 21)
         res1 = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-9, max_iters=50))
