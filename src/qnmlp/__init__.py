@@ -41,7 +41,6 @@ from .mlp import (
 )
 from .optim import (
     STATUS_DIVERGED,
-    BfgsState,
     CurvatureError,
     GdConfig,
     LineSearchError,

@@ -39,26 +39,25 @@ COMPARISON_HEADER = "optimizer,train_error_pct,test_error_pct,iterations,wall_cl
 
 GRADCHECK_TOL = 1e-6
 
-_INT_KEYS = {"hidden", "samples", "seed", "epochs", "max_iters"}
-_FLOAT_KEYS = {"train_fraction", "eta", "grad_tol", "c1", "c2"}
-_STR_KEYS = {"function", "optimizer", "out"}
-CONFIG_KEYS = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS
-
-DEFAULTS = {
-    "function": None,  # required where it applies
-    "optimizer": None,  # required where it applies
-    "hidden": 10,
-    "samples": 500,
-    "train_fraction": 0.8,
-    "seed": 42,
-    "eta": 0.1,
-    "epochs": 500,
-    "max_iters": 500,
-    "grad_tol": 1e-5,
-    "c1": 1e-4,
-    "c2": 0.9,
-    "out": "./out",
+# The options of train, bench and compare, each a --flag and a config-file key: key -> (type, default).
+OPTIONS = {
+    "function": (str, None),  # required where it applies
+    "optimizer": (str, None),  # required where it applies
+    "hidden": (int, 10),
+    "samples": (int, 500),
+    "train_fraction": (float, 0.8),
+    "seed": (int, 42),
+    "eta": (float, 0.1),
+    "epochs": (int, 500),
+    "max_iters": (int, 500),
+    "grad_tol": (float, 1e-5),
+    "c1": (float, 1e-4),
+    "c2": (float, 0.9),
+    "out": (str, "./out"),
 }
+_CHOICES = {"function": ("beale", "booth"), "optimizer": ("gd", "bfgs")}
+CONFIG_KEYS = set(OPTIONS)
+DEFAULTS = {key: default for key, (_, default) in OPTIONS.items()}
 
 
 class UsageError(Exception):
@@ -72,11 +71,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _convert(key: str, value: str, where: str):
     try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-        return value
+        return OPTIONS[key][0](value)
     except ValueError:
         raise UsageError(f"{where}: value {value!r} for {key!r} is not a number") from None
 
@@ -197,17 +192,15 @@ def _write_manifest(path: Path, subcommand: str, options: dict, artifacts) -> No
     path.write_text(RunManifest(subcommand, options, tuple(artifacts)).render())
 
 
-def _report_pairs(report: TrainReport, options: dict, function: str, optimizer: str):
+def _fit_pairs(report: TrainReport, prefix: str = ""):
+    """One fit's ``report.txt`` lines, each key led by ``prefix``."""
     return [
-        ("function", function),
-        ("optimizer", optimizer),
-        ("seed", options["seed"]),
-        ("status", report.status),
-        ("iterations", report.iterations),
-        ("train_error_pct", _fmt(report.train_error_pct)),
-        ("test_error_pct", _fmt(report.test_error_pct)),
-        ("wall_clock_s", _fmt(report.wall_clock_s)),
-        ("init_params_hash", report.init_params_hash),
+        (prefix + "status", report.status),
+        (prefix + "iterations", report.iterations),
+        (prefix + "train_error_pct", _fmt(report.train_error_pct)),
+        (prefix + "test_error_pct", _fmt(report.test_error_pct)),
+        (prefix + "wall_clock_s", _fmt(report.wall_clock_s)),
+        (prefix + "init_params_hash", report.init_params_hash),
     ]
 
 
@@ -219,7 +212,8 @@ def _run_train_into(out: Path, options: dict, cfg: BenchConfig, subcommand: str)
     function, optimizer = cfg.function.name, cfg.optimizer
     report = run_benchmark(cfg)
     _write_history(out / "history.csv", report.history)
-    _write_keyvalues(out / "report.txt", _report_pairs(report, options, function, optimizer))
+    _write_keyvalues(out / "report.txt", [("function", function), ("optimizer", optimizer),
+                                          ("seed", options["seed"])] + _fit_pairs(report))
     manifest_options = dict(options, function=function, optimizer=optimizer)
     _write_manifest(out / "manifest.txt", subcommand, manifest_options,
                     ["history.csv", "report.txt", "manifest.txt"])
@@ -272,14 +266,7 @@ def cmd_compare(args) -> int:
     _write_history(out / "history_bfgs.csv", bfgs_report.history)
     pairs = [("function", options["function"]), ("seed", options["seed"])]
     for name, report in rows:
-        pairs += [
-            (f"{name}_status", report.status),
-            (f"{name}_iterations", report.iterations),
-            (f"{name}_train_error_pct", _fmt(report.train_error_pct)),
-            (f"{name}_test_error_pct", _fmt(report.test_error_pct)),
-            (f"{name}_wall_clock_s", _fmt(report.wall_clock_s)),
-            (f"{name}_init_params_hash", report.init_params_hash),
-        ]
+        pairs += _fit_pairs(report, f"{name}_")
     _write_keyvalues(out / "report.txt", pairs)
     _write_manifest(out / "manifest.txt", "compare", options,
                     ["comparison.csv", "history_gd.csv", "history_bfgs.csv", "report.txt", "manifest.txt"])
@@ -333,23 +320,11 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK if worst <= GRADCHECK_TOL else EXIT_NUMERICAL
 
 
-def _add_common_train_flags(p, with_function=True, with_optimizer=True) -> None:
-    if with_function:
-        p.add_argument("--function", choices=("beale", "booth"))
-    if with_optimizer:
-        p.add_argument("--optimizer", choices=("gd", "bfgs"))
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--train-fraction", type=float, dest="train_fraction")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--max-iters", type=int, dest="max_iters")
-    p.add_argument("--grad-tol", type=float, dest="grad_tol")
-    p.add_argument("--c1", type=float)
-    p.add_argument("--c2", type=float)
+def _add_common_train_flags(p, omit=()) -> None:
+    for key, (kind, _) in OPTIONS.items():
+        if key not in omit:
+            p.add_argument(f"--{key.replace('_', '-')}", type=kind, choices=_CHOICES.get(key))
     p.add_argument("--config", type=str)
-    p.add_argument("--out", type=str)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -364,11 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(handler=cmd_train)
 
     p_bench = sub.add_parser("bench", help="train on both functions")
-    _add_common_train_flags(p_bench, with_function=False)
+    _add_common_train_flags(p_bench, omit=("function",))
     p_bench.set_defaults(handler=cmd_bench)
 
     p_compare = sub.add_parser("compare", help="train GD and BFGS from shared initial state")
-    _add_common_train_flags(p_compare, with_optimizer=False)
+    _add_common_train_flags(p_compare, omit=("optimizer",))
     p_compare.set_defaults(handler=cmd_compare)
 
     p_grad = sub.add_parser("gradcheck", help="check backprop against finite differences")

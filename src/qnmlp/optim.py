@@ -31,7 +31,6 @@ __all__ = [
     "GdConfig",
     "WolfeConfig",
     "StopCriteria",
-    "BfgsState",
     "StepRecord",
     "MinimizeResult",
     "wolfe_line_search",
@@ -138,25 +137,6 @@ class StopCriteria:
             raise ValueError(f"tolerances must be >= 0, got grad_tol={self.grad_tol}, f_tol={self.f_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-
-
-@dataclass
-class BfgsState:
-    """Current point, gradient and inverse-Hessian approximation."""
-
-    x: np.ndarray
-    f: float
-    g: np.ndarray
-    h_inv: np.ndarray
-    iteration: int = 0
-    n_skipped_updates: int = 0
-
-    def __post_init__(self):
-        n = self.x.size
-        if self.g.shape != (n,) or self.h_inv.shape != (n, n):
-            raise ValueError("state dimensions disagree")
-        if not linalg.is_symmetric(self.h_inv, 1e-10):
-            raise ValueError("inverse-Hessian approximation must be symmetric")
 
 
 @dataclass(frozen=True)
@@ -316,8 +296,8 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     entry (including iteration 0); ``step_observer(StepRecord)`` fires
     for every accepted Wolfe step. On a line-search failure the search
     restarts once from steepest descent with H reset to I; a second
-    failure ends the run with status ``line_search_failed`` at the best
-    point seen.
+    failure ends the run with status ``line_search_failed``, after
+    recording the best trial of that search if it lowered f.
     """
     x = np.array(x0, dtype=np.float64)
     if x.shape != (obj.dim,) or not np.all(np.isfinite(x)):
@@ -325,86 +305,71 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     f, g = obj.eval(x)
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
-    state = BfgsState(x=x, f=f, g=g, h_inv=np.eye(x.size))
-    grad_norm = np.linalg.norm(g)
-    history = [(0, f, grad_norm)]
-    if callback is not None:
-        callback(0, state.x, f, grad_norm)
+    h_inv = np.eye(x.size)
+    iteration = n_skipped_updates = 0
+    f_prev = record = status = None
+    history = []
 
-    status = None
-    if stop.grad_tol > 0 and grad_norm <= stop.grad_tol:
-        status = STATUS_CONVERGED_GRAD
-
-    while status is None:
-        if state.iteration >= stop.max_iters:
-            status = STATUS_MAX_ITERS
-            break
-
-        p = -(state.h_inv @ state.g)
-        try:
-            if linalg.dot(state.g, p) >= 0:
-                # H lost positive definiteness numerically; force a restart.
-                raise LineSearchError("search direction is not descent", 0.0, state.f, state.g, 0)
-            alpha, f_new, g_new, _ = wolfe_line_search(obj, state.x, p, state.f, state.g, wolfe)
-        except LineSearchError:
-            state.h_inv = np.eye(x.size)
-            p = -state.g
-            try:
-                if linalg.dot(state.g, p) >= 0:
-                    # gradient is exactly zero; only reachable with grad_tol disabled
-                    raise LineSearchError("gradient is numerically zero", 0.0, state.f, state.g, 0)
-                alpha, f_new, g_new, _ = wolfe_line_search(obj, state.x, p, state.f, state.g, wolfe)
-            except LineSearchError as failure:
-                if np.isfinite(failure.f) and failure.f < state.f and failure.alpha > 0:
-                    # Salvage the best trial the failed search saw.
-                    state.x = state.x + failure.alpha * p
-                    state.f = failure.f
-                    state.g = failure.g
-                    state.iteration += 1
-                    grad_norm = np.linalg.norm(state.g)
-                    history.append((state.iteration, state.f, grad_norm))
-                    if callback is not None:
-                        callback(state.iteration, state.x, state.f, grad_norm)
-                status = STATUS_LINE_SEARCH_FAILED
-                break
-
-        x_new = state.x + alpha * p
-        s = x_new - state.x
-        y = g_new - state.g
-        skipped = False
-        if linalg.dot(y, s) > CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
-            state.h_inv = bfgs_update_inv_hessian(state.h_inv, s, y)
-        else:
-            skipped = True
-            state.n_skipped_updates += 1
-
-        f_prev = state.f
-        record = None
-        if step_observer is not None:
-            record = StepRecord(state.iteration + 1, state.x, p, alpha, state.f, state.g,
-                                f_new, g_new, s, y, state.h_inv, skipped)
-        state.x, state.f, state.g = x_new, f_new, g_new
-        state.iteration += 1
-        grad_norm = np.linalg.norm(state.g)
-        history.append((state.iteration, state.f, grad_norm))
+    while True:
+        # Record the iterate: the start, an accepted Wolfe step or a salvaged trial.
+        grad_norm = np.linalg.norm(g)
+        history.append((iteration, f, grad_norm))
         if callback is not None:
-            callback(state.iteration, state.x, state.f, grad_norm)
+            callback(iteration, x, f, grad_norm)
         if record is not None:
             step_observer(record)
+        if status is None:
+            if stop.grad_tol > 0 and grad_norm <= stop.grad_tol:
+                status = STATUS_CONVERGED_GRAD
+            elif iteration > 0 and stop.f_tol > 0 and abs(f_prev - f) <= stop.f_tol * max(1.0, abs(f_prev)):
+                status = STATUS_CONVERGED_FTOL
+            elif iteration >= stop.max_iters:
+                status = STATUS_MAX_ITERS
+        if status is not None:
+            break
 
-        if stop.grad_tol > 0 and grad_norm <= stop.grad_tol:
-            status = STATUS_CONVERGED_GRAD
-        elif stop.f_tol > 0 and abs(f_prev - state.f) <= stop.f_tol * max(1.0, abs(f_prev)):
-            status = STATUS_CONVERGED_FTOL
+        # The quasi-Newton direction, then once more from steepest descent with H = I.
+        for p in (-(h_inv @ g), -g):
+            try:
+                if linalg.dot(g, p) >= 0:
+                    # H lost positive definiteness numerically, or g is exactly
+                    # zero (only reachable with grad_tol disabled).
+                    raise LineSearchError("search direction is not descent", 0.0, f, g, 0)
+                alpha, f_new, g_new, _ = wolfe_line_search(obj, x, p, f, g, wolfe)
+                break
+            except LineSearchError as err:
+                failure = err
+                h_inv = np.eye(x.size)
+        else:
+            status = STATUS_LINE_SEARCH_FAILED
+            if not (np.isfinite(failure.f) and failure.f < f and failure.alpha > 0):
+                break
+            # Salvage the best trial the failed search saw.
+            alpha, f_new, g_new = failure.alpha, failure.f, failure.g
+
+        x_new = x + alpha * p
+        record = None
+        if status is None:
+            s = x_new - x
+            y = g_new - g
+            skipped = not linalg.dot(y, s) > CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s)
+            if skipped:
+                n_skipped_updates += 1
+            else:
+                h_inv = bfgs_update_inv_hessian(h_inv, s, y)
+            if step_observer is not None:
+                record = StepRecord(iteration + 1, x, p, alpha, f, g, f_new, g_new, s, y, h_inv, skipped)
+        f_prev, x, f, g = f, x_new, f_new, g_new
+        iteration += 1
 
     return MinimizeResult(
-        x_final=state.x,
-        f_final=state.f,
-        grad_norm_final=np.linalg.norm(state.g),
-        iters=state.iteration,
+        x_final=x,
+        f_final=f,
+        grad_norm_final=grad_norm,
+        iters=iteration,
         status=status,
         history=history,
-        n_skipped_updates=state.n_skipped_updates,
+        n_skipped_updates=n_skipped_updates,
     )
 
 
@@ -438,7 +403,7 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
     after each one with the delta rule (weights by eta*delta*activation,
     biases by eta*delta); ``batch`` mode takes one step along the exact
     averaged gradient per epoch. The online step treats the single output
-    unit as a scalar (``loss_mse`` rejects other widths up front) and
+    unit as a scalar (``loss_and_grad`` rejects other widths up front) and
     gives bit-for-bit the parameters of the textbook form built from
     ``mlp.sigmoid`` and ``np.outer``. History records the full-train MSE
     once per epoch. A non-finite loss or parameter ends the run early
@@ -451,9 +416,8 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
     x_train, targets = data.rows("train")
     # Validates topology-vs-data consistency up front, including n_out == 1,
     # which lets the online loop carry the output unit as a scalar.
-    f = loss_mse(net, data, "train")
-    grad_norm = np.linalg.norm(loss_and_grad(net, data, "train")[1])
-    history = [(0, f, grad_norm)]
+    f, grad = loss_and_grad(net, data, "train")
+    history = [(0, f, np.linalg.norm(grad))]
     test_history = [loss_mse(net, data, "test")]
 
     status = STATUS_MAX_ITERS
@@ -478,22 +442,19 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
                 w1 += eta * (delta_hid[:, None] * xi)
                 b1 += eta * delta_hid
         else:
-            grad = loss_and_grad(net.with_params(params), data, "train")[1]
-            params -= eta * grad
+            params -= eta * grad  # the gradient of the last history row
 
-        if not np.all(np.isfinite(params)):
-            params = previous
-            status = STATUS_DIVERGED
-            break
-        current = net.with_params(params)
-        f, grad = loss_and_grad(current, data, "train")
-        if not np.isfinite(f):
+        diverged = not np.all(np.isfinite(params))
+        if not diverged:
+            current = net.with_params(params)
+            f, grad = loss_and_grad(current, data, "train")
+            diverged = not np.isfinite(f)
+        if diverged:
             params = previous
             status = STATUS_DIVERGED
             break
         iters = epoch
-        grad_norm = np.linalg.norm(grad)
-        history.append((epoch, f, grad_norm))
+        history.append((epoch, f, np.linalg.norm(grad)))
         test_history.append(loss_mse(current, data, "test"))
 
     trained = net.with_params(params)
