@@ -188,6 +188,32 @@ class TestBfgsUpdates:
         back = b @ (h @ v)
         assert np.all(np.abs(back - v) <= 1e-8 * np.maximum(1.0, np.abs(v)))
 
+    @pytest.mark.parametrize("n", [5, 50, 401])
+    def test_inverse_update_matches_product_form(self, n):
+        rng = np.random.default_rng(n)
+        m = rng.standard_normal((n, n))
+        a = m @ m.T / n + np.eye(n)  # SPD map: y = A s keeps y.s > 0
+        h = ref = np.eye(n)
+        for _ in range(30):
+            s = rng.standard_normal(n)
+            y = a @ s
+            before = h.copy()
+            out = bfgs_update_inv_hessian(h, s, y)
+            ref = reference_inv_update(ref, s, y)
+            assert np.array_equal(h, before), "input h_inv was modified"
+            assert out is not h and not np.shares_memory(out, h)
+            assert np.array_equal(out, out.T)
+            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+            h = out
+
+
+def reference_inv_update(h, s, y):
+    """Inverse-Hessian update in its textbook product form, unsymmetrized:
+    (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y.s."""
+    rho = 1.0 / float(np.dot(y, s))
+    eye = np.eye(s.size)
+    return (eye - rho * np.outer(s, y)) @ h @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s)
+
 
 class TestBfgsMinimize:
     def test_isotropic_quadratic_converges_immediately(self):
