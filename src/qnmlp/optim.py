@@ -166,6 +166,9 @@ class MinimizeResult:
     status: str
     history: list  # (iter, f, grad_norm) per recorded iteration, including iteration 0
     n_skipped_updates: int = 0
+    n_fevals: int = 0  # objective calls, the start and every line-search trial included
+    n_restarts: int = 0  # steepest-descent retries after a failed quasi-Newton search
+    n_salvaged: int = 0  # 1 when the run ended on the best trial of a failed search
     test_mse_history: Optional[list] = None  # filled by the MLP trainers, aligned with history
 
 
@@ -253,7 +256,13 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
 def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Rank-two inverse-Hessian update (I - rho s y^T) H (I - rho y s^T) + rho s s^T.
 
-    The result is symmetrized by averaging with its transpose. Requires
+    Computed in the expanded form (Nocedal & Wright, Numerical
+    Optimization, eq. 6.17) H - rho (s (Hy)^T + (Hy) s^T)
+    + (rho^2 y^T H y + rho) s s^T = H + u s^T + s u^T, with
+    u = (rho^2 y^T H y + rho) / 2 * s - rho H y: one matrix-vector product,
+    O(n^2). Entries (i, j) and (j, i) add the same two products, so a
+    symmetric H gives an exactly symmetric result without a symmetrizing
+    pass. Returns a new array and leaves h_inv unchanged. Requires
     y.s > 0; the new matrix then satisfies the secant relation H' y = s
     and stays positive definite.
     """
@@ -261,12 +270,10 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> 
     if not ys > 0:
         raise CurvatureError(f"curvature condition violated: y.s = {ys:g}")
     rho = 1.0 / ys
-    n = s.size
-    eye = np.eye(n)
-    left = eye - rho * np.outer(s, y)
-    right = eye - rho * np.outer(y, s)
-    updated = left @ np.asarray(h_inv, dtype=np.float64) @ right + rho * np.outer(s, s)
-    return 0.5 * (updated + updated.T)
+    h_inv = np.asarray(h_inv, dtype=np.float64)
+    hy = h_inv @ y
+    u = (0.5 * (rho * rho * linalg.dot(y, hy) + rho)) * s - rho * hy
+    return h_inv + (np.outer(u, s) + np.outer(s, u))
 
 
 def bfgs_update_hessian(b: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -306,7 +313,8 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
     h_inv = np.eye(x.size)
-    iteration = n_skipped_updates = 0
+    iteration = n_skipped_updates = n_restarts = n_salvaged = 0
+    n_fevals = 1
     f_prev = record = status = None
     history = []
 
@@ -329,15 +337,18 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
             break
 
         # The quasi-Newton direction, then once more from steepest descent with H = I.
-        for p in (-(h_inv @ g), -g):
+        for retry, p in enumerate((-(h_inv @ g), -g)):
+            n_restarts += retry
             try:
                 if linalg.dot(g, p) >= 0:
                     # H lost positive definiteness numerically, or g is exactly
                     # zero (only reachable with grad_tol disabled).
                     raise LineSearchError("search direction is not descent", 0.0, f, g, 0)
-                alpha, f_new, g_new, _ = wolfe_line_search(obj, x, p, f, g, wolfe)
+                alpha, f_new, g_new, evals = wolfe_line_search(obj, x, p, f, g, wolfe)
+                n_fevals += evals
                 break
             except LineSearchError as err:
+                n_fevals += err.evals
                 failure = err
                 h_inv = np.eye(x.size)
         else:
@@ -346,6 +357,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                 break
             # Salvage the best trial the failed search saw.
             alpha, f_new, g_new = failure.alpha, failure.f, failure.g
+            n_salvaged = 1
 
         x_new = x + alpha * p
         record = None
@@ -370,6 +382,9 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
         status=status,
         history=history,
         n_skipped_updates=n_skipped_updates,
+        n_fevals=n_fevals,
+        n_restarts=n_restarts,
+        n_salvaged=n_salvaged,
     )
 
 
@@ -419,6 +434,7 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
     f, grad = loss_and_grad(net, data, "train")
     history = [(0, f, np.linalg.norm(grad))]
     test_history = [loss_mse(net, data, "test")]
+    n_fevals = 1
 
     status = STATUS_MAX_ITERS
     iters = 0
@@ -448,6 +464,7 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
         if not diverged:
             current = net.with_params(params)
             f, grad = loss_and_grad(current, data, "train")
+            n_fevals += 1
             diverged = not np.isfinite(f)
         if diverged:
             params = previous
@@ -465,6 +482,7 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
         iters=iters,
         status=status,
         history=history,
+        n_fevals=n_fevals,
         test_mse_history=test_history,
     )
     return trained, result

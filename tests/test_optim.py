@@ -282,6 +282,8 @@ class TestBfgsMinimize:
                             step_observer=records.append)
         assert res.status == STATUS_CONVERGED_GRAD
         assert calls["n"] > 3
+        assert res.n_restarts == 1
+        assert res.n_salvaged == 0
         restart = records[2]
         assert restart.iteration == 3
         assert np.array_equal(restart.p, -restart.g)
@@ -308,6 +310,27 @@ class TestBfgsMinimize:
         assert len(res.history) == res.iters + 1 >= 2
         assert seen == res.history
         assert res.grad_norm_final == res.history[-1][2]
+        assert res.n_salvaged == (case == "salvaged")
+
+    @pytest.mark.parametrize("case", ["quadratic", "beale", "salvaged"])
+    def test_fevals_count_every_objective_call(self, case):
+        from qnmlp import beale_objective
+
+        if case == "salvaged":
+            inner, x0 = Objective(lambda x: (-x[0], np.array([-1.0])), 1), np.array([0.0])
+        elif case == "beale":
+            inner, x0 = beale_objective(), np.array([1.0, 1.0])
+        else:
+            inner, x0 = random_spd_quadratic(6, 12)
+        calls = {"n": 0}
+
+        def counted(x):
+            calls["n"] += 1
+            return inner.fun(x)
+
+        res = bfgs_minimize(Objective(counted, inner.dim), x0, StopCriteria(grad_tol=1e-8, max_iters=100))
+        assert res.n_fevals == calls["n"] > res.iters
+        assert res.n_restarts == (case == "salvaged")
 
     def test_deterministic_histories(self):
         obj, x0 = random_spd_quadratic(5, 21)
@@ -456,6 +479,7 @@ class TestGdTrain:
         net, data = tiny_training_setup()
         _, res = gd_train(net, data, GdConfig(eta=0.1, epochs=4))
         assert len(res.history) == 5
+        assert res.n_fevals == 5  # one loss_and_grad call at the start and one per epoch
         assert [entry[0] for entry in res.history] == [0, 1, 2, 3, 4]
         assert len(res.test_mse_history) == 5
 
@@ -483,6 +507,7 @@ class TestGdTrain:
         trained, res = gd_train(net, data, GdConfig(eta=0.1, epochs=10))
         assert res.status == STATUS_DIVERGED
         assert res.iters < 10
+        assert res.n_fevals == calls["n"]
         assert len(res.history) == res.iters + 1
         assert np.all(np.isfinite(trained.params))
 
