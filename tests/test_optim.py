@@ -134,6 +134,14 @@ class TestWolfeLineSearch:
         assert failure.value.evals > 0
 
 
+def reference_inv_update(h, s, y):
+    """Inverse-Hessian update in its textbook product form, unsymmetrized:
+    (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y.s."""
+    rho = 1.0 / float(np.dot(y, s))
+    eye = np.eye(s.size)
+    return (eye - rho * np.outer(s, y)) @ h @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s)
+
+
 class TestBfgsUpdates:
     def test_inverse_update_fixed_point(self):
         out = bfgs_update_inv_hessian(np.eye(2), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
@@ -205,14 +213,6 @@ class TestBfgsUpdates:
             assert np.array_equal(out, out.T)
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
             h = out
-
-
-def reference_inv_update(h, s, y):
-    """Inverse-Hessian update in its textbook product form, unsymmetrized:
-    (I - rho s y^T) H (I - rho y s^T) + rho s s^T with rho = 1 / y.s."""
-    rho = 1.0 / float(np.dot(y, s))
-    eye = np.eye(s.size)
-    return (eye - rho * np.outer(s, y)) @ h @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s)
 
 
 class TestBfgsMinimize:
