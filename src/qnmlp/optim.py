@@ -11,6 +11,7 @@ definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import exp
 from typing import Callable, Optional
 
 import numpy as np
@@ -302,9 +303,11 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     ``callback(iter, x, f, grad_norm)`` fires for every recorded history
     entry (including iteration 0); ``step_observer(StepRecord)`` fires
     for every accepted Wolfe step. On a line-search failure the search
-    restarts once from steepest descent with H reset to I; a second
-    failure ends the run with status ``line_search_failed``, after
-    recording the best trial of that search if it lowered f.
+    restarts once from steepest descent with H reset to I, unless H is
+    still I (the start, or no update since the last reset), where that
+    retry would repeat the failed search. A failure with no retry left
+    ends the run with status ``line_search_failed``, after recording the
+    best trial of that search if it lowered f.
     """
     x = np.array(x0, dtype=np.float64)
     if x.shape != (obj.dim,) or not np.all(np.isfinite(x)):
@@ -313,6 +316,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     if not np.isfinite(f):
         raise ValueError("objective is not finite at the starting point")
     h_inv = np.eye(x.size)
+    h_is_identity = True
     iteration = n_skipped_updates = n_restarts = n_salvaged = 0
     n_fevals = 1
     f_prev = record = status = None
@@ -336,8 +340,12 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
         if status is not None:
             break
 
-        # The quasi-Newton direction, then once more from steepest descent with H = I.
-        for retry, p in enumerate((-(h_inv @ g), -g)):
+        # The quasi-Newton direction, then once more from steepest descent with
+        # H = I, unless H is I already and -g is the direction that just failed.
+        directions = [-(h_inv @ g)]
+        if not h_is_identity:
+            directions.append(-g)
+        for retry, p in enumerate(directions):
             n_restarts += retry
             try:
                 if linalg.dot(g, p) >= 0:
@@ -351,6 +359,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                 n_fevals += err.evals
                 failure = err
                 h_inv = np.eye(x.size)
+                h_is_identity = True
         else:
             status = STATUS_LINE_SEARCH_FAILED
             if not (np.isfinite(failure.f) and failure.f < f and failure.alpha > 0):
@@ -369,6 +378,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                 n_skipped_updates += 1
             else:
                 h_inv = bfgs_update_inv_hessian(h_inv, s, y)
+                h_is_identity = False
             if step_observer is not None:
                 record = StepRecord(iteration + 1, x, p, alpha, f, g, f_new, g_new, s, y, h_inv, skipped)
         f_prev, x, f, g = f, x_new, f_new, g_new
@@ -411,26 +421,74 @@ def bfgs_train(net: Network, data: Dataset, stop: StopCriteria = StopCriteria(),
     return net.with_params(result.x_final), result
 
 
+def _online_epoch(w1, b1, w2, b2, rows, targets, eta):
+    """One online delta-rule sweep over the training rows, in Python floats.
+
+    Reads the weight and bias views of ``unpack_params``, runs every row
+    step on lists of floats with ``math.exp`` (no numpy call per row) and
+    writes the result back into the views. Each hidden unit keeps its
+    input weights followed by its bias, the output unit its weights
+    followed by its bias, and every entry of ``rows`` ends with the bias
+    input 1.0: each weighted sum adds its bias last, and the bias update
+    eta * (delta * 1.0) equals eta * delta.
+    """
+    units = [w + [b] for w, b in zip(w1.tolist(), b1.tolist())]
+    v = w2[0].tolist() + b2.tolist()
+    for x, target in zip(rows, targets):
+        # Plain left-to-right sums, never sum() or math.fsum: their
+        # rounding differs between Python versions.
+        h = []
+        for w in units:
+            z = 0.0
+            for wj, xj in zip(w, x):
+                z += wj * xj
+            e = exp(-abs(z))  # mlp.sigmoid's overflow-safe form
+            h.append((1.0 if z >= 0 else e) / (1.0 + e))
+        h.append(1.0)
+        z = 0.0
+        for vj, hj in zip(v, h):
+            z += vj * hj
+        e = exp(-abs(z))
+        out = (1.0 if z >= 0 else e) / (1.0 + e)
+        d_out = out * (1.0 - out) * (target - out)
+        # The hidden deltas use the output weights from before this row's update.
+        for w, vj, hj in zip(units, v, h):
+            dh = hj * (1.0 - hj) * (vj * d_out)
+            for j, xj in enumerate(x):
+                w[j] += eta * (dh * xj)
+        for j, hj in enumerate(h):
+            v[j] += eta * (d_out * hj)
+    w1[:] = [w[:-1] for w in units]
+    b1[:] = [w[-1] for w in units]
+    w2[0] = v[:-1]
+    b2[0] = v[-1]
+
+
 def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
     """Gradient-descent baseline trainer.
 
     ``online`` mode sweeps the training rows in stored order, updating
     after each one with the delta rule (weights by eta*delta*activation,
     biases by eta*delta); ``batch`` mode takes one step along the exact
-    averaged gradient per epoch. The online step treats the single output
-    unit as a scalar (``loss_and_grad`` rejects other widths up front) and
-    gives bit-for-bit the parameters of the textbook form built from
-    ``mlp.sigmoid`` and ``np.outer``. History records the full-train MSE
-    once per epoch. A non-finite loss or parameter ends the run early
-    with status ``diverged`` and the parameters of the last finite epoch.
+    averaged gradient per epoch. The online sweep runs in Python floats
+    (``_online_epoch``) and treats the single output unit as a scalar
+    (``loss_and_grad`` rejects other widths up front). It keeps the
+    operation order of the textbook form built from ``mlp.sigmoid`` and
+    ``np.outer``, but not its bits: ``math.exp`` and BLAS's summation
+    order each round differently from numpy's, so the two agree within a
+    few ulps per step (the tests hold them to 1e-12 relative). History
+    records the full-train MSE once per epoch. A non-finite loss or
+    parameter ends the run early with status ``diverged`` and the
+    parameters of the last finite epoch.
     """
     params = np.array(net.params)
     w1, b1, w2, b2 = unpack_params(net.topology, params)
-    w2_row = w2[0]
     eta = cfg.eta
     x_train, targets = data.rows("train")
+    rows = [x + [1.0] for x in x_train.tolist()]
+    targets = targets.tolist()
     # Validates topology-vs-data consistency up front, including n_out == 1,
-    # which lets the online loop carry the output unit as a scalar.
+    # which lets the online sweep carry the output unit as a scalar.
     f, grad = loss_and_grad(net, data, "train")
     history = [(0, f, np.linalg.norm(grad))]
     test_history = [loss_mse(net, data, "test")]
@@ -441,22 +499,7 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
     for epoch in range(1, cfg.epochs + 1):
         previous = params.copy()
         if cfg.mode == "online":
-            # mlp.sigmoid's formula and operation order, inlined: same bits,
-            # half the per-row numpy calls. The output unit's exp stays numpy's
-            # (math.exp rounds differently on some arguments).
-            for xi, target in zip(x_train, targets.tolist()):
-                z = w1 @ xi + b1
-                e = np.exp(-np.abs(z))
-                hidden = np.where(z >= 0, 1.0, e) / (1.0 + e)
-                z_out = float((w2 @ hidden + b2)[0])
-                e_out = float(np.exp(np.float64(-abs(z_out))))
-                out = (1.0 if z_out >= 0 else e_out) / (1.0 + e_out)
-                d_out = out * (1.0 - out) * (target - out)
-                delta_hid = hidden * (1.0 - hidden) * (w2_row * d_out)
-                w2_row += eta * (d_out * hidden)
-                b2 += eta * d_out
-                w1 += eta * (delta_hid[:, None] * xi)
-                b1 += eta * delta_hid
+            _online_epoch(w1, b1, w2, b2, rows, targets, eta)
         else:
             params -= eta * grad  # the gradient of the last history row
 

@@ -330,7 +330,17 @@ class TestBfgsMinimize:
 
         res = bfgs_minimize(Objective(counted, inner.dim), x0, StopCriteria(grad_tol=1e-8, max_iters=100))
         assert res.n_fevals == calls["n"] > res.iters
-        assert res.n_restarts == (case == "salvaged")
+        assert res.n_restarts == 0  # the salvaged case fails with H = I, so it has no retry
+
+    def test_no_retry_while_h_is_identity(self):
+        # unbounded below: the search along -g from H = I exhausts the bracket, and
+        # a steepest-descent retry would repeat it call for call
+        obj = Objective(lambda x: (-x[0], np.array([-1.0])), 1)
+        res = bfgs_minimize(obj, np.array([0.0]), StopCriteria(grad_tol=1e-8, max_iters=10))
+        assert res.status == STATUS_LINE_SEARCH_FAILED
+        assert res.n_fevals == 12  # the start and the 11 trials of one failed search
+        assert res.n_restarts == 0
+        assert res.n_salvaged == 1
 
     def test_deterministic_histories(self):
         obj, x0 = random_spd_quadratic(5, 21)
@@ -426,13 +436,39 @@ def reference_online_gd(net, data, eta, epochs):
     return params, history
 
 
+def assert_within_1e12(actual, expected):
+    """|a - b| / max(1, |a|, |b|) <= 1e-12 for every entry."""
+    a = np.asarray(actual, dtype=np.float64)
+    b = np.asarray(expected, dtype=np.float64)
+    assert a.shape == b.shape
+    worst = np.max(np.abs(a - b) / np.maximum(1.0, np.maximum(np.abs(a), np.abs(b))))
+    assert worst <= 1e-12, f"largest relative difference {worst:.3g}"
+
+
+# (function or input width, hidden units, weight scale): the two surfaces at
+# n_in = 2, plus random inputs at n_in = 1 and 3.
+GD_REFERENCE_CASES = [(function, hidden, scale) for scale in (1.0, 50.0)
+                      for hidden in (1, 10) for function in ("beale", "booth")]
+GD_REFERENCE_CASES += [(1, 3, 1.0), (3, 40, 1.0)]
+
+
+def gd_reference_id(case):
+    function, hidden, scale = case
+    name = function if isinstance(function, str) else f"in{function}"
+    return f"{'saturating' if scale > 1.0 else 'plain'}-{hidden}-{name}"
+
+
 class TestGdTrain:
-    @pytest.mark.parametrize("function", [BEALE, BOOTH], ids=["beale", "booth"])
-    @pytest.mark.parametrize("hidden", [1, 10])
-    @pytest.mark.parametrize("scale", [1.0, 50.0], ids=["plain", "saturating"])
-    def test_online_bit_identical_to_reference(self, function, hidden, scale):
-        data = sample_dataset(function, 60, 0.8, 7)
-        topology = Topology(2, hidden, 1)
+    @pytest.mark.parametrize("case", GD_REFERENCE_CASES, ids=map(gd_reference_id, GD_REFERENCE_CASES))
+    def test_online_within_1e12_of_reference(self, case):
+        function, hidden, scale = case
+        if isinstance(function, str):
+            data = sample_dataset({"beale": BEALE, "booth": BOOTH}[function], 60, 0.8, 7)
+        else:
+            rng = np.random.default_rng(7)
+            data = Dataset.from_samples(rng.uniform(-2.0, 2.0, size=(60, function)),
+                                        rng.uniform(0.0, 1.0, size=60), 48)
+        topology = Topology(data.inputs.shape[1], hidden, 1)
         net = Network(topology, scale * init_params(topology, 7))
         if scale > 1.0:
             # both branches of the overflow-safe sigmoid, deep in saturation
@@ -442,8 +478,8 @@ class TestGdTrain:
         trained, res = gd_train(net, data, GdConfig(eta=0.1, epochs=12))
         params, history = reference_online_gd(net, data, 0.1, 12)
         assert res.status == STATUS_MAX_ITERS
-        assert np.array_equal(trained.params, params)
-        assert res.history == history
+        assert_within_1e12(trained.params, params)
+        assert_within_1e12(res.history, history)
 
     def test_vanishing_eta_changes_nothing(self):
         net, data = tiny_training_setup()
