@@ -81,7 +81,7 @@ def parse_config(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config file {path}: {err}") from None
     options = {}
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -172,11 +172,10 @@ class RunManifest:
     subcommand: str
     options: dict
     artifacts: tuple
-    version: str = __version__
 
     def render(self) -> str:
         lines = [
-            f"# qnmlp {self.version}",
+            f"# qnmlp {__version__}",
             f"# subcommand = {self.subcommand}",
             f"# artifacts = {', '.join(self.artifacts)}",
         ]
@@ -278,8 +277,7 @@ def cmd_compare(args) -> int:
     return max(_exit_for(gd_report), _exit_for(bfgs_report))
 
 
-def _gradcheck_max_error(trials: int, seed: int, hidden, step: float = 1e-5,
-                         sabotage: bool = False) -> float:
+def _gradcheck_max_error(trials: int, seed: int, hidden, sabotage: bool = False) -> float:
     """Worst relative error between backprop and finite differences.
 
     Each trial draws a fresh 2-h-1 network (h cycling 1..5 unless pinned)
@@ -302,7 +300,7 @@ def _gradcheck_max_error(trials: int, seed: int, hidden, step: float = 1e-5,
             grad = grad.copy()
             flip = int(np.argmax(np.abs(grad)))
             grad[flip] = -grad[flip]
-        oracle = finite_diff_grad(net, data, "train", step)
+        oracle = finite_diff_grad(net, data, "train", step=1e-5)
         worst = max(worst, relative_error(grad, oracle))
     return worst
 

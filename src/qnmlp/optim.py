@@ -21,11 +21,12 @@ from .mlp import Dataset, Network, loss_and_grad, loss_mse, unpack_params
 
 __all__ = [
     "STATUS_CONVERGED_GRAD",
-    "STATUS_CONVERGED_FTOL",
     "STATUS_MAX_ITERS",
     "STATUS_LINE_SEARCH_FAILED",
     "STATUS_DIVERGED",
     "CURVATURE_FLOOR",
+    "ALPHA_MAX",
+    "MAX_ZOOM_STEPS",
     "CurvatureError",
     "LineSearchError",
     "Objective",
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 STATUS_CONVERGED_GRAD = "converged_grad"
-STATUS_CONVERGED_FTOL = "converged_ftol"
 STATUS_MAX_ITERS = "max_iters"
 STATUS_LINE_SEARCH_FAILED = "line_search_failed"
 STATUS_DIVERGED = "diverged"  # gradient descent only: the loss or a parameter went non-finite
@@ -52,13 +52,18 @@ STATUS_DIVERGED = "diverged"  # gradient descent only: the loss or a parameter w
 # skipping (rather than damping) keeps plain BFGS semantics.
 CURVATURE_FLOOR = 1e-10
 
+# The line search doubles its step from 1.0 to this cap (the 11th trial)
+# and zooms in at most this many trials.
+ALPHA_MAX = 1e3
+MAX_ZOOM_STEPS = 30
+
 
 class CurvatureError(ValueError):
     """An (s, y) pair violates the curvature condition y.s > 0."""
 
 
 class LineSearchError(RuntimeError):
-    """No step satisfied both strong Wolfe conditions within budget.
+    """No strong-Wolfe step below the step cap or within the zoom budget.
 
     Carries the best (lowest-f) trial seen so the caller can decide what
     to salvage.
@@ -107,35 +112,28 @@ class GdConfig:
 
 @dataclass(frozen=True)
 class WolfeConfig:
-    """Strong-Wolfe line-search constants (textbook quasi-Newton defaults)."""
+    """Strong-Wolfe constants (textbook quasi-Newton defaults), the only
+    settable part of the line search: c1 for sufficient decrease, c2 for
+    curvature."""
 
     c1: float = 1e-4
     c2: float = 0.9
-    alpha_init: float = 1.0
-    alpha_max: float = 1e3
-    max_bracket_steps: int = 20
-    max_zoom_steps: int = 30
 
     def __post_init__(self):
         if not 0.0 < self.c1 < self.c2 < 1.0:
             raise ValueError(f"need 0 < c1 < c2 < 1, got c1={self.c1}, c2={self.c2}")
-        if not 0.0 < self.alpha_init <= self.alpha_max:
-            raise ValueError(f"need 0 < alpha_init <= alpha_max, got {self.alpha_init}, {self.alpha_max}")
-        if self.max_bracket_steps < 1 or self.max_zoom_steps < 1:
-            raise ValueError("bracket and zoom budgets must be >= 1")
 
 
 @dataclass(frozen=True)
 class StopCriteria:
-    """Termination tests; a tolerance of 0 disables that test."""
+    """Termination tests: |g| <= grad_tol (0 disables it) or max_iters iterations."""
 
     grad_tol: float = 1e-5
     max_iters: int = 500
-    f_tol: float = 0.0
 
     def __post_init__(self):
-        if not (self.grad_tol >= 0 and self.f_tol >= 0):
-            raise ValueError(f"tolerances must be >= 0, got grad_tol={self.grad_tol}, f_tol={self.f_tol}")
+        if not self.grad_tol >= 0:
+            raise ValueError(f"gradient tolerance must be >= 0, got grad_tol={self.grad_tol}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
@@ -196,9 +194,10 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
     """Bracket-then-zoom search for a strong-Wolfe step along p.
 
     Returns (alpha, f_new, g_new, evals) with alpha satisfying both the
-    sufficient-decrease and the absolute curvature inequality. Raises
-    ValueError if p is not a descent direction and LineSearchError when
-    the bracket/zoom budget runs out.
+    sufficient-decrease and the absolute curvature inequality. The bracket
+    starts at alpha = 1 and doubles up to ``ALPHA_MAX``. Raises ValueError
+    if p is not a descent direction and LineSearchError when the bracket
+    reaches the cap or the zoom runs out of its ``MAX_ZOOM_STEPS`` trials.
     """
     d0 = linalg.dot(g0, p)
     if not d0 < 0:
@@ -222,7 +221,7 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
         return abs(d) <= cfg.c2 * abs(d0)
 
     def zoom(lo, f_lo, d_lo, hi, f_hi):
-        for _ in range(cfg.max_zoom_steps):
+        for _ in range(MAX_ZOOM_STEPS):
             a = _quadratic_trial(lo, f_lo, d_lo, hi, f_hi)
             f_a, g_a, d_a = trial_eval(a)
             if not sufficient(a, f_a) or f_a >= f_lo:
@@ -236,10 +235,10 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
         raise LineSearchError("zoom budget exhausted without a Wolfe step", best[0], best[1], best[2], evals)
 
     a_prev, f_prev, d_prev = 0.0, f0, d0
-    a = min(cfg.alpha_init, cfg.alpha_max)
-    for i in range(cfg.max_bracket_steps):
+    a = 1.0
+    while True:
         f_a, g_a, d_a = trial_eval(a)
-        if not sufficient(a, f_a) or (i > 0 and f_a >= f_prev):
+        if not sufficient(a, f_a) or (a_prev > 0 and f_a >= f_prev):
             alpha, f_new, g_new = zoom(a_prev, f_prev, d_prev, a, f_a)
             return alpha, f_new, g_new, evals
         if curvature(d_a):
@@ -247,11 +246,10 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
         if d_a >= 0:
             alpha, f_new, g_new = zoom(a, f_a, d_a, a_prev, f_prev)
             return alpha, f_new, g_new, evals
-        if a >= cfg.alpha_max:
-            break
+        if a >= ALPHA_MAX:
+            raise LineSearchError("step cap reached without a Wolfe step", best[0], best[1], best[2], evals)
         a_prev, f_prev, d_prev = a, f_a, d_a
-        a = min(2.0 * a, cfg.alpha_max)
-    raise LineSearchError("bracket budget exhausted without a Wolfe step", best[0], best[1], best[2], evals)
+        a = min(2.0 * a, ALPHA_MAX)
 
 
 def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -307,7 +305,8 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     still I (the start, or no update since the last reset), where that
     retry would repeat the failed search. A failure with no retry left
     ends the run with status ``line_search_failed``, after recording the
-    best trial of that search if it lowered f.
+    best trial of that search if it lowered f. Otherwise the run ends with
+    ``converged_grad`` (|g| <= grad_tol) or ``max_iters``.
     """
     x = np.array(x0, dtype=np.float64)
     if x.shape != (obj.dim,) or not np.all(np.isfinite(x)):
@@ -319,7 +318,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     h_is_identity = True
     iteration = n_skipped_updates = n_restarts = n_salvaged = 0
     n_fevals = 1
-    f_prev = record = status = None
+    record = status = None
     history = []
 
     while True:
@@ -333,8 +332,6 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
         if status is None:
             if stop.grad_tol > 0 and grad_norm <= stop.grad_tol:
                 status = STATUS_CONVERGED_GRAD
-            elif iteration > 0 and stop.f_tol > 0 and abs(f_prev - f) <= stop.f_tol * max(1.0, abs(f_prev)):
-                status = STATUS_CONVERGED_FTOL
             elif iteration >= stop.max_iters:
                 status = STATUS_MAX_ITERS
         if status is not None:
@@ -381,7 +378,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                 h_is_identity = False
             if step_observer is not None:
                 record = StepRecord(iteration + 1, x, p, alpha, f, g, f_new, g_new, s, y, h_inv, skipped)
-        f_prev, x, f, g = f, x_new, f_new, g_new
+        x, f, g = x_new, f_new, g_new
         iteration += 1
 
     return MinimizeResult(

@@ -247,6 +247,15 @@ class TestConfigFile:
                         "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")])
         assert code == 1
 
+    def test_undecodable_file(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(b"eta = 0.1\n\xff\n")  # not UTF-8
+        code = run_cli(["train", "--function", "booth", "--optimizer", "bfgs",
+                        "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: cannot read config file")
+
     def test_non_numeric_value(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("eta = fast\n")
