@@ -45,6 +45,7 @@ from .optim import (
     GdConfig,
     LineSearchError,
     MinimizeResult,
+    NotDescentError,
     Objective,
     StepRecord,
     StopCriteria,

@@ -182,12 +182,27 @@ def denormalize(y, lo: float, hi: float):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def _sigmoid_inplace(a: np.ndarray) -> None:
+    """Overwrite the float64 array ``a`` (ndim >= 1) with its logistic function.
+
+    With z = exp(-|a|) this computes 1 / (1 + z) where a >= 0 and
+    z / (1 + z) elsewhere, so exp never overflows. One branch-free
+    numerator serves both: z <= 1 where a >= 0, so max(z, 1) = 1 there,
+    and max(z, 0) = z elsewhere (NaN stays NaN).
+    """
+    e = np.abs(a)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.maximum(e, a >= 0)
+    e += 1.0
+    np.divide(num, e, out=a)
+
+
 def sigmoid(x):
     """Logistic function, overflow-safe for large |x|. Works elementwise."""
-    x = np.asarray(x, dtype=np.float64)
-    z = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return float(out) if out.ndim == 0 else out
+    x = np.array(x, dtype=np.float64)
+    _sigmoid_inplace(x.reshape(-1))  # a 1-d view, so a 0-d copy is written too
+    return float(x) if x.ndim == 0 else x
 
 
 def forward(net: Network, x):
@@ -211,8 +226,12 @@ def _check_net_vs_data(net: Network, data: Dataset) -> None:
 def _forward_batch(weights, x: np.ndarray):
     """The forward pass over rows x, given ``unpack_params``' views; returns (hidden, out)."""
     w1, b1, w2, b2 = weights
-    hidden = sigmoid(x @ w1.T + b1)  # (n, n_hidden)
-    out = sigmoid(hidden @ w2.T + b2)  # (n, n_out)
+    hidden = x @ w1.T  # (n, n_hidden)
+    hidden += b1
+    _sigmoid_inplace(hidden)
+    out = hidden @ w2.T  # (n, n_out)
+    out += b2
+    _sigmoid_inplace(out)
     return hidden, out
 
 
@@ -222,7 +241,8 @@ def loss_mse(net: Network, data: Dataset, rows: str = "train") -> float:
     x, t = data.rows(rows)
     _, out = _forward_batch(unpack_params(net.topology, net.params), x)
     r = out[:, 0] - t
-    return float(np.mean(r * r))
+    r *= r
+    return float(np.add.reduce(r) / r.size)  # np.mean's float64 sum and division
 
 
 def loss_and_grad(net: Network, data: Dataset, rows: str = "train"):
@@ -233,17 +253,28 @@ def loss_and_grad(net: Network, data: Dataset, rows: str = "train"):
     weights = unpack_params(topo, net.params)
     hidden, out = _forward_batch(weights, x)
     resid = out[:, 0] - t
-    loss = float(np.mean(resid * resid))
-
     n = x.shape[0]
-    d_out = (2.0 / n) * resid[:, None] * out * (1.0 - out)  # (n, 1)
-    d_hid = (d_out @ weights[2]) * hidden * (1.0 - hidden)  # (n, n_hidden); weights[2] is W_hidden_out
+    loss = float(np.add.reduce(resid * resid) / n)  # np.mean's float64 sum and division
+
+    # The textbook products in their textbook order, written in place:
+    # d_out = 2/n * resid * out * (1 - out) and
+    # d_hid = (d_out W2) * hidden * (1 - hidden); with one output unit d_out W2
+    # is the broadcast d_out * W2, each entry one rounded product either way.
+    # gw2 reads hidden before it is overwritten with 1 - hidden.
+    d_out = (2.0 / n) * resid[:, None]  # (n, 1)
+    d_out *= out
+    np.subtract(1.0, out, out=out)
+    d_out *= out
     grad = np.empty_like(net.params)
     gw1, gb1, gw2, gb2 = unpack_params(topo, grad)
-    gw1[:] = d_hid.T @ x
-    gb1[:] = d_hid.sum(axis=0)
     gw2[:] = d_out.T @ hidden
     gb2[:] = d_out.sum(axis=0)
+    d_hid = d_out * weights[2]  # (n, n_hidden); weights[2] is W_hidden_out
+    d_hid *= hidden
+    np.subtract(1.0, hidden, out=hidden)
+    d_hid *= hidden
+    gw1[:] = d_hid.T @ x
+    gb1[:] = d_hid.sum(axis=0)
     return loss, grad
 
 

@@ -29,6 +29,7 @@ __all__ = [
     "MAX_ZOOM_STEPS",
     "CurvatureError",
     "LineSearchError",
+    "NotDescentError",
     "Objective",
     "GdConfig",
     "WolfeConfig",
@@ -48,8 +49,9 @@ STATUS_MAX_ITERS = "max_iters"
 STATUS_LINE_SEARCH_FAILED = "line_search_failed"
 STATUS_DIVERGED = "diverged"  # gradient descent only: the loss or a parameter went non-finite
 
-# The inverse-Hessian update is skipped when y.s <= floor * |y| * |s|;
-# skipping (rather than damping) keeps plain BFGS semantics.
+# The inverse-Hessian update refuses a pair with y.s <= floor * |y| * |s|,
+# and bfgs_minimize then skips it: skipping (rather than damping) keeps
+# plain BFGS semantics.
 CURVATURE_FLOOR = 1e-10
 
 # The line search doubles its step from 1.0 to this cap (the 11th trial)
@@ -59,7 +61,8 @@ MAX_ZOOM_STEPS = 30
 
 
 class CurvatureError(ValueError):
-    """An (s, y) pair violates the curvature condition y.s > 0."""
+    """An (s, y) pair violates the curvature condition y.s > 0 (or, for
+    the inverse update, y.s > CURVATURE_FLOOR * |y| * |s|)."""
 
 
 class LineSearchError(RuntimeError):
@@ -75,6 +78,14 @@ class LineSearchError(RuntimeError):
         self.f = f
         self.g = g
         self.evals = evals
+
+
+class NotDescentError(LineSearchError, ValueError):
+    """The search direction is not a descent direction: g.p is not < 0.
+
+    A ValueError for a caller of ``wolfe_line_search``; a failed search,
+    with no trial made, for ``bfgs_minimize``.
+    """
 
 
 @dataclass(frozen=True)
@@ -195,13 +206,14 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
 
     Returns (alpha, f_new, g_new, evals) with alpha satisfying both the
     sufficient-decrease and the absolute curvature inequality. The bracket
-    starts at alpha = 1 and doubles up to ``ALPHA_MAX``. Raises ValueError
-    if p is not a descent direction and LineSearchError when the bracket
-    reaches the cap or the zoom runs out of its ``MAX_ZOOM_STEPS`` trials.
+    starts at alpha = 1 and doubles up to ``ALPHA_MAX``. Raises
+    NotDescentError (a ValueError) if g0.p is not negative, NaN included,
+    and LineSearchError when the bracket reaches the cap or the zoom runs
+    out of its ``MAX_ZOOM_STEPS`` trials.
     """
     d0 = linalg.dot(g0, p)
     if not d0 < 0:
-        raise ValueError(f"p is not a descent direction (g.p = {d0:g})")
+        raise NotDescentError(f"p is not a descent direction (g.p = {d0:g})", 0.0, f0, g0, 0)
 
     evals = 0
     best = [0.0, f0, g0]
@@ -261,12 +273,13 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> 
     u = (rho^2 y^T H y + rho) / 2 * s - rho H y: one matrix-vector product,
     O(n^2). Entries (i, j) and (j, i) add the same two products, so a
     symmetric H gives an exactly symmetric result without a symmetrizing
-    pass. Returns a new array and leaves h_inv unchanged. Requires
-    y.s > 0; the new matrix then satisfies the secant relation H' y = s
-    and stays positive definite.
+    pass. Returns a new array and leaves h_inv unchanged. Raises
+    CurvatureError unless y.s > CURVATURE_FLOOR * |y| * |s| (so y.s > 0);
+    the new matrix then satisfies the secant relation H' y = s and stays
+    positive definite.
     """
     ys = linalg.dot(y, s)
-    if not ys > 0:
+    if not ys > CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
         raise CurvatureError(f"curvature condition violated: y.s = {ys:g}")
     rho = 1.0 / ys
     h_inv = np.asarray(h_inv, dtype=np.float64)
@@ -303,10 +316,13 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     for every accepted Wolfe step. On a line-search failure the search
     restarts once from steepest descent with H reset to I, unless H is
     still I (the start, or no update since the last reset), where that
-    retry would repeat the failed search. A failure with no retry left
-    ends the run with status ``line_search_failed``, after recording the
-    best trial of that search if it lowered f. Otherwise the run ends with
-    ``converged_grad`` (|g| <= grad_tol) or ``max_iters``.
+    retry would repeat the failed search. A direction that is not descent
+    (g.p >= 0 or NaN) fails its search without a trial. A failure with no
+    retry left ends the run with status ``line_search_failed``, after
+    recording the best trial of that search if it lowered f. Otherwise the
+    run ends with ``converged_grad`` (|g| <= grad_tol) or ``max_iters``.
+    An (s, y) pair that ``bfgs_update_inv_hessian`` refuses is a skipped
+    update.
     """
     x = np.array(x0, dtype=np.float64)
     if x.shape != (obj.dim,) or not np.all(np.isfinite(x)):
@@ -345,10 +361,8 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
         for retry, p in enumerate(directions):
             n_restarts += retry
             try:
-                if linalg.dot(g, p) >= 0:
-                    # H lost positive definiteness numerically, or g is exactly
-                    # zero (only reachable with grad_tol disabled).
-                    raise LineSearchError("search direction is not descent", 0.0, f, g, 0)
+                # NotDescentError when H lost positive definiteness numerically, g
+                # is exactly zero (only reachable with grad_tol disabled) or NaN.
                 alpha, f_new, g_new, evals = wolfe_line_search(obj, x, p, f, g, wolfe)
                 n_fevals += evals
                 break
@@ -370,12 +384,12 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
         if status is None:
             s = x_new - x
             y = g_new - g
-            skipped = not linalg.dot(y, s) > CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s)
-            if skipped:
-                n_skipped_updates += 1
-            else:
+            try:
                 h_inv = bfgs_update_inv_hessian(h_inv, s, y)
-                h_is_identity = False
+                h_is_identity = skipped = False
+            except CurvatureError:
+                n_skipped_updates += 1
+                skipped = True
             if step_observer is not None:
                 record = StepRecord(iteration + 1, x, p, alpha, f, g, f_new, g_new, s, y, h_inv, skipped)
         x, f, g = x_new, f_new, g_new

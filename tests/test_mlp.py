@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +39,32 @@ def constant_target_dataset(n_in, targets_norm, split_index):
         norm_hi=1.0,
         split_index=split_index,
     )
+
+
+def reference_sigmoid(x):
+    """The textbook two-branch logistic function, kept as the bit reference
+    for the in-place kernel in ``qnmlp.mlp``."""
+    x = np.asarray(x, dtype=np.float64)
+    z = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return float(out) if out.ndim == 0 else out
+
+
+def reference_loss_and_grad(net, data, rows):
+    """MSE and gradient from the textbook expressions, kept as the bit
+    reference for ``loss_and_grad`` and ``loss_mse``."""
+    x, t = data.rows(rows)
+    w1, b1, w2, b2 = unpack_params(net.topology, net.params)
+    hidden = reference_sigmoid(x @ w1.T + b1)
+    out = reference_sigmoid(hidden @ w2.T + b2)
+    resid = out[:, 0] - t
+    loss = float(np.mean(resid * resid))
+    n = x.shape[0]
+    d_out = (2.0 / n) * resid[:, None] * out * (1.0 - out)
+    d_hid = (d_out @ w2) * hidden * (1.0 - hidden)
+    grad = np.concatenate([(d_hid.T @ x).ravel(), d_hid.sum(axis=0),
+                           (d_out.T @ hidden).ravel(), d_out.sum(axis=0)])
+    return loss, grad
 
 
 class TestTopology:
@@ -132,6 +159,26 @@ class TestSigmoid:
         out = sigmoid(np.array([0.0, 100.0, -100.0]))
         assert out.shape == (3,)
         assert out[0] == 0.5
+
+    @pytest.mark.parametrize("x", [0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0,
+                                   math.inf, -math.inf, math.nan])
+    def test_special_values_match_reference(self, x):
+        for arg in (x, np.array(x)):
+            got, ref = sigmoid(arg), reference_sigmoid(arg)
+            assert type(got) is float and type(ref) is float
+            assert got == ref or (math.isnan(got) and math.isnan(ref))
+            assert math.copysign(1.0, got) == math.copysign(1.0, ref)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_arrays_match_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((40, 7)) * 10.0 ** rng.uniform(-3, 3, (40, 7))
+        x[0, :4] = [np.nan, np.inf, -np.inf, -0.0]
+        before = x.copy()
+        got = sigmoid(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, reference_sigmoid(x), equal_nan=True)
+        assert np.array_equal(x, before, equal_nan=True)  # input untouched
 
 
 class TestForward:
@@ -365,3 +412,39 @@ class TestFiniteDiffGrad:
         data = make_dataset(np.random.default_rng(0), 4, 1, 3)
         finite_diff_grad(net, data, "train", 1e-5)
         assert np.array_equal(net.params, before)
+
+
+class TestKernelBits:
+    """The in-place kernels give the textbook expressions' bits exactly."""
+
+    @pytest.mark.parametrize("rows", ["train", "test"])
+    @pytest.mark.parametrize("scale", [0.5, 3.0, 30.0, 300.0, 3000.0])
+    @pytest.mark.parametrize("hidden", [1, 3, 10, 100])
+    def test_loss_and_grad_and_loss_mse_match_reference(self, hidden, scale, rows):
+        rng = np.random.default_rng(hidden * 1000 + int(scale))
+        t = Topology(2, hidden, 1)
+        data = make_dataset(rng, 60, 2, 45)
+        for _ in range(2):
+            net = Network(t, rng.uniform(-scale, scale, t.n_params))
+            ref_loss, ref_grad = reference_loss_and_grad(net, data, rows)
+            loss, grad = loss_and_grad(net, data, rows)
+            assert loss == ref_loss
+            assert np.array_equal(grad, ref_grad)
+            assert loss_mse(net, data, rows) == ref_loss
+
+    def test_loss_and_grad_temporaries_bounded(self):
+        # Deterministic memory gate: the peak traced allocation of one call at
+        # hidden 100 on 400 rows stays under four rows x hidden float64 arrays.
+        n_rows, hidden = 400, 100
+        t = Topology(2, hidden, 1)
+        net = Network(t, init_params(t, 0))
+        data = make_dataset(np.random.default_rng(0), n_rows + 100, 2, n_rows)
+        loss_and_grad(net, data, "train")  # warm-up
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            loss_and_grad(net, data, "train")
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * n_rows * hidden * 8

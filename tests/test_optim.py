@@ -7,6 +7,7 @@ from qnmlp import (
     GdConfig,
     LineSearchError,
     Network,
+    NotDescentError,
     Objective,
     StopCriteria,
     Topology,
@@ -111,6 +112,15 @@ class TestWolfeLineSearch:
         with pytest.raises(ValueError):
             wolfe_line_search(obj, x, np.array([1.0]), f0, g0, WolfeConfig())
 
+    def test_nan_slope_rejected(self):
+        obj = Objective(lambda x: (x[0] ** 2, np.array([np.nan])), 1)
+        x = np.array([1.0])
+        f0, g0 = obj.eval(x)
+        with pytest.raises(NotDescentError) as failure:
+            wolfe_line_search(obj, x, -g0, f0, g0, WolfeConfig())
+        assert isinstance(failure.value, ValueError)
+        assert failure.value.evals == 0
+
     @pytest.mark.parametrize("seed", range(8))
     def test_random_convex_quadratics(self, seed):
         obj, x0 = random_spd_quadratic(5, seed)
@@ -178,6 +188,14 @@ class TestBfgsUpdates:
             bfgs_update_inv_hessian(np.eye(2), s, -s)
         with pytest.raises(CurvatureError):
             bfgs_update_hessian(np.eye(2), s, np.array([0.0, 1.0]))  # y.s == 0
+
+    def test_inverse_update_refuses_curvature_below_floor(self):
+        s = np.array([1.0, 0.0])
+        # y.s = 1e-11 > 0, but below CURVATURE_FLOOR * |y| * |s| (about 1e-10)
+        with pytest.raises(CurvatureError):
+            bfgs_update_inv_hessian(np.eye(2), s, np.array([1e-11, 1.0]))
+        out = bfgs_update_inv_hessian(np.eye(2), s, np.array([1e-9, 1.0]))
+        assert np.all(np.isfinite(out))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_inverse_consistency_over_sequences(self, seed):
@@ -340,6 +358,38 @@ class TestBfgsMinimize:
         assert res.n_fevals == 12  # the start and the 11 trials of one failed search
         assert res.n_restarts == 0
         assert res.n_salvaged == 1
+
+    def test_nan_slope_ends_line_search_failed(self):
+        # g.p is NaN at the start: no trial, no retry while H is I
+        obj = Objective(lambda x: (float(x[0] ** 2), np.array([np.nan])), 1)
+        res = bfgs_minimize(obj, [1.0])
+        assert res.status == STATUS_LINE_SEARCH_FAILED
+        assert res.iters == 0
+        assert res.n_fevals == 1
+        assert res.n_restarts == 0
+        assert res.n_salvaged == 0
+
+    def test_refused_update_is_skipped(self, monkeypatch):
+        import qnmlp.optim as optim_module
+
+        real = optim_module.bfgs_update_inv_hessian
+        calls = {"n": 0}
+
+        def refuse_second(h_inv, s, y):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise CurvatureError("injected")
+            return real(h_inv, s, y)
+
+        monkeypatch.setattr(optim_module, "bfgs_update_inv_hessian", refuse_second)
+        records = []
+        obj, x0 = random_spd_quadratic(6, 12)
+        res = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-8, max_iters=60),
+                            step_observer=records.append)
+        assert res.status == STATUS_CONVERGED_GRAD
+        assert res.n_skipped_updates == 1
+        assert [rec.update_skipped for rec in records[:3]] == [False, True, False]
+        assert np.array_equal(records[1].h_inv_after, records[0].h_inv_after)
 
     def test_deterministic_histories(self):
         obj, x0 = random_spd_quadratic(5, 21)
