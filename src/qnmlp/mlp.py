@@ -200,8 +200,8 @@ def _sigmoid_inplace(a: np.ndarray) -> None:
 
 def sigmoid(x):
     """Logistic function, overflow-safe for large |x|. Works elementwise."""
-    x = np.array(x, dtype=np.float64)
-    _sigmoid_inplace(x.reshape(-1))  # a 1-d view, so a 0-d copy is written too
+    x = np.array(x, dtype=np.float64, order="C")
+    _sigmoid_inplace(x.reshape(-1))  # a C-ordered copy, so this 1-d view writes into x
     return float(x) if x.ndim == 0 else x
 
 

@@ -180,6 +180,19 @@ class TestSigmoid:
         assert np.array_equal(got, reference_sigmoid(x), equal_nan=True)
         assert np.array_equal(x, before, equal_nan=True)  # input untouched
 
+    @pytest.mark.parametrize("layout", ["transposed", "fortran", "strided"])
+    def test_non_contiguous_arrays_match_reference(self, layout):
+        rng = np.random.default_rng(7)
+        base = rng.standard_normal((40, 7)) * 30.0
+        x = {"transposed": base.T,
+             "fortran": np.asfortranarray(base),
+             "strided": base[::2, ::3]}[layout]
+        before = x.copy()
+        got = sigmoid(x)
+        assert got.shape == x.shape
+        assert np.array_equal(got, reference_sigmoid(x))
+        assert np.array_equal(x, before)  # input untouched
+
 
 class TestForward:
     def test_zero_params_give_half_everywhere(self):
