@@ -184,19 +184,21 @@ def _params_hash(params: np.ndarray) -> str:
 
 
 def _train_and_report(net0: Network, data: Dataset, cfg: BenchConfig) -> TrainReport:
+    history = []
+
+    def record(iteration, params, train_mse, grad_norm):
+        test_mse = loss_mse(net0.with_params(params), data, "test")
+        history.append((iteration, 100.0 * train_mse, 100.0 * test_mse, grad_norm))
+
     start = time.perf_counter()
     if cfg.optimizer == "gd":
-        net, result = gd_train(net0, data, cfg.gd)
+        _, result = gd_train(net0, data, cfg.gd, callback=record)
     else:
-        net, result = bfgs_train(net0, data, cfg.stop, cfg.wolfe)
+        _, result = bfgs_train(net0, data, cfg.stop, cfg.wolfe, callback=record)
     wall_clock = time.perf_counter() - start
-    history = [
-        (iteration, 100.0 * train_mse, 100.0 * test_mse, grad_norm)
-        for (iteration, train_mse, grad_norm), test_mse in zip(result.history, result.test_mse_history)
-    ]
     return TrainReport(
         train_error_pct=100.0 * result.f_final,
-        test_error_pct=error_percent(net, data, "test"),
+        test_error_pct=history[-1][2],
         iterations=result.iters,
         wall_clock_s=wall_clock,
         history=history,

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bench import BenchConfig, TrainReport, get_function, run_benchmark, run_comparison
+from .bench import FUNCTIONS, BenchConfig, TrainReport, get_function, run_benchmark, run_comparison
 from .mlp import Dataset, Network, Topology, finite_diff_grad, grad_backprop, init_params, relative_error
 from .optim import (
     GdConfig,
@@ -55,7 +55,7 @@ OPTIONS = {
     "c2": (float, 0.9),
     "out": (str, "./out"),
 }
-_CHOICES = {"function": ("beale", "booth"), "optimizer": ("gd", "bfgs")}
+_CHOICES = {"function": tuple(FUNCTIONS), "optimizer": ("gd", "bfgs")}
 CONFIG_KEYS = set(OPTIONS)
 DEFAULTS = {key: default for key, (_, default) in OPTIONS.items()}
 
@@ -230,7 +230,7 @@ def cmd_train(args) -> int:
 
 def cmd_bench(args) -> int:
     options = _resolve_options(args, required=("optimizer",))
-    configs = [_bench_config(options, options["optimizer"], function) for function in ("beale", "booth")]
+    configs = [_bench_config(options, options["optimizer"], function) for function in FUNCTIONS]
     base = _out_dir(options)
     worst = EXIT_OK
     for cfg in configs:

@@ -121,14 +121,16 @@ class Dataset:
         n = x.shape[0]
         if n < 2 or raw.shape != (n,) or norm.shape != (n,):
             raise ValueError("inputs, targets_raw and targets_norm need one entry per row, at least 2 rows")
+        for name, a in (("inputs", x), ("targets_raw", raw), ("targets_norm", norm)):
+            if not np.all(np.isfinite(a)):
+                raise ValueError(f"{name} must be finite (no NaN or inf)")
+            a.setflags(write=False)
         if not (np.all(norm >= NORM_LO - 1e-12) and np.all(norm <= NORM_HI + 1e-12)):
             raise ValueError(f"normalized targets must lie in [{NORM_LO}, {NORM_HI}]")
         if not self.norm_hi > self.norm_lo:
             raise ValueError(f"norm_lo must be < norm_hi, got [{self.norm_lo}, {self.norm_hi}]")
         if not 1 <= self.split_index < n:
             raise ValueError(f"split_index {self.split_index} leaves an empty partition for {n} rows")
-        for a in (x, raw, norm):
-            a.setflags(write=False)
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets_raw", raw)
         object.__setattr__(self, "targets_norm", norm)
@@ -152,10 +154,7 @@ class Dataset:
             sel = slice(self.split_index, None)
         else:
             raise ValueError(f"row selector must be 'train' or 'test', got {which!r}")
-        x, t = self.inputs[sel], self.targets_norm[sel]
-        if t.size == 0:
-            raise ValueError(f"selection {which!r} is empty")
-        return x, t
+        return self.inputs[sel], self.targets_norm[sel]
 
 
 def normalize_targets(raw):
@@ -167,6 +166,8 @@ def normalize_targets(raw):
     r = np.asarray(raw, dtype=np.float64)
     if r.ndim != 1 or r.size < 2:
         raise ValueError(f"need at least 2 raw targets, got shape {r.shape}")
+    if not np.all(np.isfinite(r)):
+        raise ValueError("raw targets must be finite (no NaN or inf)")
     lo, hi = float(r.min()), float(r.max())
     if not hi > lo:
         raise ValueError("raw targets are constant; the normalization map is undefined")

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import exp
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import linalg
+# loss_mse is unused here; perfbench/tracer.py still lists qnmlp.optim.loss_mse as a seam site.
 from .mlp import Dataset, Network, loss_and_grad, loss_mse, unpack_params
 
 __all__ = [
@@ -179,7 +180,6 @@ class MinimizeResult:
     n_fevals: int = 0  # objective calls, the start and every line-search trial included
     n_restarts: int = 0  # steepest-descent retries after a failed quasi-Newton search
     n_salvaged: int = 0  # 1 when the run ended on the best trial of a failed search
-    test_mse_history: Optional[list] = None  # filled by the MLP trainers, aligned with history
 
 
 def _quadratic_trial(lo: float, f_lo: float, d_lo: float, hi: float, f_hi: float) -> float:
@@ -410,25 +410,18 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
 
 
 def bfgs_train(net: Network, data: Dataset, stop: StopCriteria = StopCriteria(),
-               wolfe: WolfeConfig = WolfeConfig(), step_observer=None):
+               wolfe: WolfeConfig = WolfeConfig(), step_observer=None, callback=None):
     """Train the network's flat parameters by BFGS on the training MSE.
 
-    Returns (trained network, result); the result's history carries the
-    training loss and its ``test_mse_history`` the matching test loss.
+    Returns (trained network, result); ``callback`` and ``step_observer``
+    are passed to ``bfgs_minimize``.
     """
 
     def fun(params):
         return loss_and_grad(net.with_params(params), data, "train")
 
-    obj = Objective(fun, net.topology.n_params)
-    test_history: list = []
-
-    def record_test(_iteration, params, _f, _grad_norm):
-        test_history.append(loss_mse(net.with_params(params), data, "test"))
-
-    result = bfgs_minimize(obj, net.params, stop, wolfe, callback=record_test,
-                           step_observer=step_observer)
-    result.test_mse_history = test_history
+    result = bfgs_minimize(Objective(fun, net.topology.n_params), net.params, stop, wolfe,
+                           callback=callback, step_observer=step_observer)
     return net.with_params(result.x_final), result
 
 
@@ -475,7 +468,7 @@ def _online_epoch(w1, b1, w2, b2, rows, targets, eta):
     b2[0] = v[-1]
 
 
-def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
+def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig(), callback=None):
     """Gradient-descent baseline trainer.
 
     ``online`` mode sweeps the training rows in stored order, updating
@@ -489,55 +482,45 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig()):
     numpy's ``exp`` on some arguments, and its left-to-right sums from
     BLAS's, so the two agree to within a bound (the tests hold them to
     1e-12 relative; the measured drift is about 1e-15), not exactly. History
-    records the full-train MSE once per epoch. A non-finite loss or
-    parameter ends the run early with status ``diverged`` and the
-    parameters of the last finite epoch.
+    records the full-train MSE at the start and after each epoch, and
+    ``callback(epoch, params, f, grad_norm)`` fires for every history entry,
+    as in ``bfgs_minimize``. A non-finite loss or parameter ends the run
+    early with status ``diverged`` and the parameters of the last finite
+    epoch.
     """
     params = np.array(net.params)
     w1, b1, w2, b2 = unpack_params(net.topology, params)
-    eta = cfg.eta
     x_train, targets = data.rows("train")
     rows = [x + [1.0] for x in x_train.tolist()]
     targets = targets.tolist()
     # Validates topology-vs-data consistency up front, including n_out == 1,
     # which lets the online sweep carry the output unit as a scalar.
     f, grad = loss_and_grad(net, data, "train")
-    history = [(0, f, np.linalg.norm(grad))]
-    test_history = [loss_mse(net, data, "test")]
     n_fevals = 1
-
+    trained = net  # the network of the last history row
+    history = []
     status = STATUS_MAX_ITERS
-    iters = 0
-    for epoch in range(1, cfg.epochs + 1):
-        previous = params.copy()
-        if cfg.mode == "online":
-            _online_epoch(w1, b1, w2, b2, rows, targets, eta)
-        else:
-            params -= eta * grad  # the gradient of the last history row
+    for epoch in range(cfg.epochs + 1):
+        if epoch > 0:
+            if cfg.mode == "online":
+                _online_epoch(w1, b1, w2, b2, rows, targets, cfg.eta)
+            else:
+                params -= cfg.eta * grad  # the gradient of the last history row
+            diverged = not np.all(np.isfinite(params))
+            if not diverged:
+                current = net.with_params(params)
+                f, grad = loss_and_grad(current, data, "train")
+                n_fevals += 1
+                diverged = not np.isfinite(f)
+            if diverged:
+                status = STATUS_DIVERGED
+                break
+            trained = current
+        grad_norm = np.linalg.norm(grad)
+        history.append((epoch, f, grad_norm))
+        if callback is not None:
+            callback(epoch, trained.params, f, grad_norm)
 
-        diverged = not np.all(np.isfinite(params))
-        if not diverged:
-            current = net.with_params(params)
-            f, grad = loss_and_grad(current, data, "train")
-            n_fevals += 1
-            diverged = not np.isfinite(f)
-        if diverged:
-            params = previous
-            status = STATUS_DIVERGED
-            break
-        iters = epoch
-        history.append((epoch, f, np.linalg.norm(grad)))
-        test_history.append(loss_mse(current, data, "test"))
-
-    trained = net.with_params(params)
-    result = MinimizeResult(
-        x_final=trained.params,
-        f_final=history[-1][1],
-        grad_norm_final=history[-1][2],
-        iters=iters,
-        status=status,
-        history=history,
-        n_fevals=n_fevals,
-        test_mse_history=test_history,
-    )
-    return trained, result
+    iters, f, grad_norm = history[-1]
+    return trained, MinimizeResult(x_final=trained.params, f_final=f, grad_norm_final=grad_norm,
+                                   iters=iters, status=status, history=history, n_fevals=n_fevals)

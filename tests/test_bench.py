@@ -15,13 +15,15 @@ from qnmlp import (
     booth,
     booth_objective,
     bfgs_minimize,
+    bfgs_train,
     error_percent,
+    gd_train,
     get_function,
     run_benchmark,
     run_comparison,
     sample_dataset,
 )
-from qnmlp.bench import beale_grad, booth_grad
+from qnmlp.bench import _setup, beale_grad, booth_grad
 from qnmlp.mlp import Dataset
 
 
@@ -220,6 +222,21 @@ class TestRunBenchmark:
         assert len(report.history) == report.iterations + 1
         first = report.history[0]
         assert len(first) == 4 and first[0] == 0
+
+    @pytest.mark.parametrize("optimizer", ["gd", "bfgs"])
+    def test_final_test_error_is_last_history_row(self, optimizer):
+        # the report reads its test error from the last history row; it must be the
+        # trained network's test error, bit for bit
+        cfg = self.small_cfg(optimizer=optimizer, gd=GdConfig(eta=0.1, epochs=15),
+                             stop=StopCriteria(grad_tol=1e-5, max_iters=30))
+        report = run_benchmark(cfg)
+        data, net0 = _setup(cfg)
+        if optimizer == "gd":
+            trained, _ = gd_train(net0, data, cfg.gd)
+        else:
+            trained, _ = bfgs_train(net0, data, cfg.stop, cfg.wolfe)
+        assert report.test_error_pct == report.history[-1][2] == error_percent(trained, data, "test")
+        assert report.train_error_pct == report.history[-1][1] == error_percent(trained, data, "train")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

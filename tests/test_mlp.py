@@ -265,6 +265,20 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.inputs[0, 0] = 99.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_inputs_rejected(self, bad):
+        inputs = np.zeros((4, 2))
+        inputs[2, 1] = bad
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            Dataset.from_samples(inputs, [0.0, 1.0, 2.0, 3.0], 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_raw_targets_rejected(self, bad):
+        with pytest.raises(ValueError, match="raw targets must be finite"):
+            Dataset.from_samples(np.zeros((4, 2)), [0.0, bad, 1.0, 2.0], 2)
+        with pytest.raises(ValueError, match="targets_raw must be finite"):
+            Dataset(np.zeros((2, 1)), np.array([0.0, bad]), np.array([0.1, 0.9]), 0.0, 1.0, 1)
+
 
 class TestNormalization:
     def test_endpoints(self):
@@ -279,6 +293,11 @@ class TestNormalization:
     def test_constant_rejected(self):
         with pytest.raises(ValueError):
             normalize_targets([3.0, 3.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_rejected(self, bad):
+        with pytest.raises(ValueError, match="raw targets must be finite"):
+            normalize_targets([0.0, bad, 1.0])
 
     def test_denormalize_endpoints(self):
         assert denormalize(0.1, 0.0, 1.0) == 0.0

@@ -452,6 +452,26 @@ def tiny_training_setup(seed=0, rows=6, hidden=3):
     return net, data
 
 
+def poison_loss_after(monkeypatch, good_calls):
+    """Make the trainers' loss_and_grad return a NaN loss after good_calls calls.
+
+    Returns the dict whose "n" counts every call.
+    """
+    import qnmlp.optim as optim_module
+
+    real = optim_module.loss_and_grad
+    calls = {"n": 0}
+
+    def poisoned(n, d, rows="train"):
+        calls["n"] += 1
+        if calls["n"] > good_calls:
+            return float("nan"), np.zeros(n.topology.n_params)
+        return real(n, d, rows)
+
+    monkeypatch.setattr(optim_module, "loss_and_grad", poisoned)
+    return calls
+
+
 def reference_online_gd(net, data, eta, epochs):
     """Online delta rule in its textbook form: mlp.sigmoid on both layers, np.outer updates.
 
@@ -555,11 +575,13 @@ class TestGdTrain:
 
     def test_history_once_per_epoch(self):
         net, data = tiny_training_setup()
-        _, res = gd_train(net, data, GdConfig(eta=0.1, epochs=4))
+        seen = []
+        _, res = gd_train(net, data, GdConfig(eta=0.1, epochs=4),
+                          callback=lambda it, x, f, grad_norm: seen.append((it, f, grad_norm)))
         assert len(res.history) == 5
         assert res.n_fevals == 5  # one loss_and_grad call at the start and one per epoch
         assert [entry[0] for entry in res.history] == [0, 1, 2, 3, 4]
-        assert len(res.test_mse_history) == 5
+        assert seen == res.history
 
     def test_deterministic(self):
         net, data = tiny_training_setup(seed=2)
@@ -569,25 +591,40 @@ class TestGdTrain:
         assert res1.history == res2.history
 
     def test_divergence_halts_with_partial_history(self, monkeypatch):
-        import qnmlp.optim as optim_module
-
         net, data = tiny_training_setup()
-        real = optim_module.loss_and_grad
-        calls = {"n": 0}
-
-        def poisoned(n, d, rows="train"):
-            calls["n"] += 1
-            if calls["n"] > 2:
-                return float("nan"), np.zeros(n.topology.n_params)
-            return real(n, d, rows)
-
-        monkeypatch.setattr(optim_module, "loss_and_grad", poisoned)
+        calls = poison_loss_after(monkeypatch, 2)
         trained, res = gd_train(net, data, GdConfig(eta=0.1, epochs=10))
         assert res.status == STATUS_DIVERGED
         assert res.iters < 10
         assert res.n_fevals == calls["n"]
         assert len(res.history) == res.iters + 1
         assert np.all(np.isfinite(trained.params))
+
+    @pytest.mark.parametrize("case", ["max_iters", "batch", "diverged"])
+    def test_callback_matches_history(self, case, monkeypatch):
+        net, data = tiny_training_setup()
+        cfg, status = GdConfig(eta=0.1, epochs=6), STATUS_MAX_ITERS
+        if case == "batch":
+            cfg = GdConfig(eta=0.1, epochs=6, mode="batch")
+        elif case == "diverged":
+            poison_loss_after(monkeypatch, 2)  # the loss after epoch 2 is NaN
+            status = STATUS_DIVERGED
+        seen, points = [], []
+
+        def callback(it, x, f, grad_norm):
+            seen.append((it, f, grad_norm))
+            points.append(x)
+
+        trained, res = gd_train(net, data, cfg, callback=callback)
+        assert res.status == status
+        assert seen == res.history
+        assert res.iters == res.history[-1][0] == (1 if case == "diverged" else 6)
+        assert np.array_equal(points[0], net.params)
+        assert np.array_equal(points[-1], res.x_final)
+        assert np.array_equal(res.x_final, trained.params)
+        # each call gets its own frozen epoch parameters
+        assert all(not x.flags.writeable for x in points)
+        assert len({x.tobytes() for x in points}) == len(points)
 
 
 class TestBfgsTrain:
@@ -607,10 +644,12 @@ class TestBfgsTrain:
 
     def test_monotone_loss_history(self):
         net, data = tiny_training_setup(seed=4, rows=12)
-        _, res = bfgs_train(net, data, StopCriteria(grad_tol=1e-7, max_iters=40))
+        seen = []
+        _, res = bfgs_train(net, data, StopCriteria(grad_tol=1e-7, max_iters=40),
+                            callback=lambda it, x, f, grad_norm: seen.append((it, f, grad_norm)))
         losses = [f for _, f, _ in res.history]
         assert all(b < a for a, b in zip(losses, losses[1:]))
-        assert len(res.test_mse_history) == len(res.history)
+        assert seen == res.history
 
     def test_beats_gd_on_booth(self):
         data = sample_dataset(BOOTH, 200, 0.8, 42)
