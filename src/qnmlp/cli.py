@@ -13,6 +13,7 @@ wall-clock fields and is byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -59,6 +60,10 @@ _CHOICES = {"function": tuple(FUNCTIONS), "optimizer": ("gd", "bfgs")}
 CONFIG_KEYS = set(OPTIONS)
 DEFAULTS = {key: default for key, (_, default) in OPTIONS.items()}
 
+# A '#' starts a config comment only at the start of a line or after whitespace,
+# so a path such as out/run#1 reads back whole.
+_COMMENT = re.compile(r"(?:^|\s)#")
+
 
 class UsageError(Exception):
     """Bad flags or bad configuration; maps to exit code 1."""
@@ -76,8 +81,15 @@ def _convert(key: str, value: str, where: str):
         raise UsageError(f"{where}: value {value!r} for {key!r} is not a number") from None
 
 
+def _strip_comment(line: str) -> str:
+    return _COMMENT.split(line, 1)[0].strip()
+
+
 def parse_config(path) -> dict:
-    """Read ``key = value`` lines; ``#`` starts a comment; unknown keys fail."""
+    """Read ``key = value`` lines; unknown keys fail.
+
+    A ``#`` at the start of a line or after whitespace starts a comment.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -85,7 +97,7 @@ def parse_config(path) -> dict:
         raise UsageError(f"cannot read config file {path}: {err}") from None
     options = {}
     for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
+        body = _strip_comment(line)
         if not body:
             continue
         key, sep, value = body.partition("=")
@@ -138,7 +150,13 @@ def _fmt(value) -> str:
 
 
 def _out_dir(options: dict) -> Path:
-    out = Path(options["out"])
+    value = options["out"]
+    line = f"out = {value}"  # as the manifest writes it
+    if line.splitlines() != [line] or _strip_comment(line).partition("=")[2].strip() != value:
+        raise UsageError(f"output directory {value!r} would not read back from manifest.txt unchanged: a '#' "
+                         "at its start or after whitespace starts a comment, leading and trailing "
+                         "whitespace is dropped, and a line break ends the line")
+    out = Path(value)
     try:
         out.mkdir(parents=True, exist_ok=True)
         probe = out / ".write-probe"

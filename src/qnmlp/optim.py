@@ -28,6 +28,7 @@ __all__ = [
     "CURVATURE_FLOOR",
     "ALPHA_MAX",
     "MAX_ZOOM_STEPS",
+    "UPDATE_BLOCK_ROWS",
     "CurvatureError",
     "LineSearchError",
     "NotDescentError",
@@ -59,6 +60,10 @@ CURVATURE_FLOOR = 1e-10
 # and zooms in at most this many trials.
 ALPHA_MAX = 1e3
 MAX_ZOOM_STEPS = 30
+
+# The inverse-Hessian update writes its result this many rows at a time, so
+# its only matrix temporary is one block, never a fresh n x n array.
+UPDATE_BLOCK_ROWS = 64
 
 
 class CurvatureError(ValueError):
@@ -264,7 +269,8 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
         a = min(2.0 * a, ALPHA_MAX)
 
 
-def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray, *,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Rank-two inverse-Hessian update (I - rho s y^T) H (I - rho y s^T) + rho s s^T.
 
     Computed in the expanded form (Nocedal & Wright, Numerical
@@ -273,10 +279,16 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> 
     u = (rho^2 y^T H y + rho) / 2 * s - rho H y: one matrix-vector product,
     O(n^2). Entries (i, j) and (j, i) add the same two products, so a
     symmetric H gives an exactly symmetric result without a symmetrizing
-    pass. Returns a new array and leaves h_inv unchanged. Raises
-    CurvatureError unless y.s > CURVATURE_FLOOR * |y| * |s| (so y.s > 0);
-    the new matrix then satisfies the secant relation H' y = s and stays
-    positive definite.
+    pass. Raises CurvatureError unless y.s > CURVATURE_FLOOR * |y| * |s|
+    (so y.s > 0); the new matrix then satisfies the secant relation
+    H' y = s and stays positive definite.
+
+    The result is written into ``out``, or into a new array when ``out`` is
+    None, and returned. It is written ``UPDATE_BLOCK_ROWS`` rows at a time,
+    each block reading only its own rows of h_inv after Hy is formed, so
+    ``out`` may be h_inv itself: the update in place allocates no n x n
+    temporary. Every entry is h_ij + (u_i s_j + s_i u_j) either way, the
+    same bits. A refused pair raises before anything is written.
     """
     ys = linalg.dot(y, s)
     if not ys > CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
@@ -285,7 +297,14 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> 
     h_inv = np.asarray(h_inv, dtype=np.float64)
     hy = h_inv @ y
     u = (0.5 * (rho * rho * linalg.dot(y, hy) + rho)) * s - rho * hy
-    return h_inv + (np.outer(u, s) + np.outer(s, u))
+    if out is None:
+        out = np.empty_like(h_inv)
+    for start in range(0, len(h_inv), UPDATE_BLOCK_ROWS):
+        blk = slice(start, start + UPDATE_BLOCK_ROWS)
+        t = np.multiply.outer(u[blk], s)
+        t += np.multiply.outer(s[blk], u)
+        np.add(h_inv[blk], t, out=out[blk])
+    return out
 
 
 def bfgs_update_hessian(b: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -310,6 +329,10 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                   wolfe: WolfeConfig = WolfeConfig(), callback=None,
                   step_observer=None) -> MinimizeResult:
     """Full-matrix BFGS with strong-Wolfe steps, starting from H = I.
+
+    The run owns its inverse Hessian H and updates it in place, so no
+    update allocates an n x n matrix; each ``StepRecord.h_inv_after`` is a
+    copy, taken only when a ``step_observer`` is given.
 
     ``callback(iter, x, f, grad_norm)`` fires for every recorded history
     entry (including iteration 0); ``step_observer(StepRecord)`` fires
@@ -385,13 +408,14 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
             s = x_new - x
             y = g_new - g
             try:
-                h_inv = bfgs_update_inv_hessian(h_inv, s, y)
+                bfgs_update_inv_hessian(h_inv, s, y, out=h_inv)
                 h_is_identity = skipped = False
             except CurvatureError:
                 n_skipped_updates += 1
                 skipped = True
             if step_observer is not None:
-                record = StepRecord(iteration + 1, x, p, alpha, f, g, f_new, g_new, s, y, h_inv, skipped)
+                record = StepRecord(iteration + 1, x, p, alpha, f, g, f_new, g_new, s, y,
+                                    h_inv.copy(), skipped)
         x, f, g = x_new, f_new, g_new
         iteration += 1
 

@@ -111,6 +111,28 @@ class TestTrain:
         assert code == 0
         assert (out / "history.csv").read_bytes() == first
 
+    def test_manifest_with_hash_in_out_reruns_into_same_dir(self, tmp_path):
+        out = tmp_path / "m#1"
+        run_cli(["train", "--function", "booth", "--optimizer", "bfgs",
+                 "--max-iters", "3", "--out", str(out)])
+        first = (out / "history.csv").read_bytes()
+        (out / "history.csv").unlink()
+        code = run_cli(["train", "--config", str(out / "manifest.txt")])
+        assert code == 0
+        assert (out / "history.csv").read_bytes() == first
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m#1"]
+
+    @pytest.mark.parametrize("name", ["a #b", "#start", " leading", "trailing ", "line\nbreak"],
+                             ids=["space-hash", "start-hash", "leading-space", "trailing-space",
+                                  "line-break"])
+    def test_out_that_cannot_read_back_is_usage_error(self, tmp_path, capsys, monkeypatch, name):
+        monkeypatch.chdir(tmp_path)
+        code = run_cli(["train", "--function", "booth", "--optimizer", "bfgs", "--out", name] + SMALL)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "would not read back" in err
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestBench:
     def test_runs_both_functions(self, tmp_path):

@@ -151,6 +151,16 @@ def reference_inv_update(h, s, y):
     return (eye - rho * np.outer(s, y)) @ h @ (eye - rho * np.outer(y, s)) + rho * np.outer(s, s)
 
 
+def reference_expanded_update(h, s, y):
+    """The expanded update H + (u s^T + s u^T) as one expression, with fresh
+    n x n temporaries: the arithmetic the in-place row blocks must match bit
+    for bit."""
+    rho = 1.0 / linalg.dot(y, s)
+    hy = h @ y
+    u = (0.5 * (rho * rho * linalg.dot(y, hy) + rho)) * s - rho * hy
+    return h + (np.outer(u, s) + np.outer(s, u))
+
+
 class TestBfgsUpdates:
     def test_inverse_update_fixed_point(self):
         out = bfgs_update_inv_hessian(np.eye(2), np.array([1.0, 0.0]), np.array([1.0, 0.0]))
@@ -197,6 +207,15 @@ class TestBfgsUpdates:
         out = bfgs_update_inv_hessian(np.eye(2), s, np.array([1e-9, 1.0]))
         assert np.all(np.isfinite(out))
 
+    def test_refused_pair_leaves_out_unwritten(self):
+        rng = np.random.default_rng(3)
+        h = rng.standard_normal((70, 70))  # more than one row block
+        before = h.copy()
+        s = rng.standard_normal(70)
+        with pytest.raises(CurvatureError):
+            bfgs_update_inv_hessian(h, s, -s, out=h)
+        assert np.array_equal(h, before)
+
     @pytest.mark.parametrize("seed", range(10))
     def test_inverse_consistency_over_sequences(self, seed):
         rng = np.random.default_rng(seed)
@@ -229,7 +248,29 @@ class TestBfgsUpdates:
             assert out is not h and not np.shares_memory(out, h)
             assert np.array_equal(out, out.T)
             assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+            expected = reference_expanded_update(h, s, y)
+            assert np.array_equal(out, expected)
+            in_place = h.copy()
+            assert bfgs_update_inv_hessian(in_place, s, y, out=in_place) is in_place
+            assert np.array_equal(in_place, expected)
             h = out
+
+    def test_in_place_update_allocates_no_full_matrix(self):
+        import tracemalloc
+
+        n = 401
+        rng = np.random.default_rng(0)
+        h = np.eye(n)
+        s = rng.standard_normal(n)
+        y = s + 0.1 * rng.standard_normal(n)
+        tracemalloc.start()
+        try:
+            bfgs_update_inv_hessian(h, s, y, out=h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one row block and a few vectors (measured 0.43); a fresh n x n result alone is 1.0
+        assert peak <= 0.5 * n * n * 8
 
 
 class TestBfgsMinimize:
@@ -279,6 +320,23 @@ class TestBfgsMinimize:
             if not rec.update_skipped:
                 secant = rec.h_inv_after @ rec.y
                 assert np.all(np.abs(secant - rec.s) <= 1e-9 * np.maximum(1.0, np.abs(rec.s)))
+
+    def test_step_records_are_snapshots(self):
+        # bfgs_minimize updates its H in place; each record must keep its own copy
+        records = []
+        obj, x0 = random_spd_quadratic(6, 12)
+        res = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-8, max_iters=60),
+                            step_observer=records.append)
+        assert res.status == STATUS_CONVERGED_GRAD
+        assert res.n_restarts == 0 and len(records) >= 3
+        for i, rec in enumerate(records):
+            for other in records[i + 1:]:
+                assert not np.shares_memory(rec.h_inv_after, other.h_inv_after)
+        h = np.eye(6)
+        for rec in records:
+            if not rec.update_skipped:
+                h = bfgs_update_inv_hessian(h, rec.s, rec.y)
+            assert np.array_equal(rec.h_inv_after, h)
 
     def test_restart_steps_along_minus_gradient(self, monkeypatch):
         import qnmlp.optim as optim_module
@@ -375,11 +433,11 @@ class TestBfgsMinimize:
         real = optim_module.bfgs_update_inv_hessian
         calls = {"n": 0}
 
-        def refuse_second(h_inv, s, y):
+        def refuse_second(h_inv, s, y, *, out=None):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise CurvatureError("injected")
-            return real(h_inv, s, y)
+            return real(h_inv, s, y, out=out)
 
         monkeypatch.setattr(optim_module, "bfgs_update_inv_hessian", refuse_second)
         records = []
