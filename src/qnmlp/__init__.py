@@ -28,9 +28,7 @@ from .mlp import (
     Dataset,
     Network,
     Topology,
-    denormalize,
     finite_diff_grad,
-    forward,
     grad_backprop,
     init_params,
     loss_and_grad,

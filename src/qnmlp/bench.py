@@ -187,8 +187,8 @@ def _train_and_report(net0: Network, data: Dataset, cfg: BenchConfig) -> TrainRe
     history = []
 
     def record(iteration, params, train_mse, grad_norm):
-        test_mse = loss_mse(net0.with_params(params), data, "test")
-        history.append((iteration, 100.0 * train_mse, 100.0 * test_mse, grad_norm))
+        test_pct = error_percent(net0.with_params(params), data, "test")
+        history.append((iteration, 100.0 * train_mse, test_pct, grad_norm))
 
     start = time.perf_counter()
     if cfg.optimizer == "gd":

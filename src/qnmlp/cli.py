@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -178,35 +177,24 @@ def _write_keyvalues(path: Path, pairs) -> None:
     path.write_text("".join(f"{key} = {value}\n" for key, value in pairs))
 
 
-@dataclass(frozen=True)
-class RunManifest:
+def _manifest_text(subcommand: str, options: dict, artifacts) -> str:
     """Fully resolved configuration of one run, plus artifact metadata.
 
     Rendered as ``key = value`` lines with the metadata in ``#`` comments,
     so the file doubles as a ``--config`` input: re-running from it
     reproduces the numerical outputs exactly.
     """
-
-    subcommand: str
-    options: dict
-    artifacts: tuple
-
-    def render(self) -> str:
-        lines = [
-            f"# qnmlp {__version__}",
-            f"# subcommand = {self.subcommand}",
-            f"# artifacts = {', '.join(self.artifacts)}",
-        ]
-        for key in sorted(CONFIG_KEYS):
-            value = self.options.get(key)
-            if value is None:
-                continue
-            lines.append(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
-        return "\n".join(lines) + "\n"
-
-
-def _write_manifest(path: Path, subcommand: str, options: dict, artifacts) -> None:
-    path.write_text(RunManifest(subcommand, options, tuple(artifacts)).render())
+    lines = [
+        f"# qnmlp {__version__}",
+        f"# subcommand = {subcommand}",
+        f"# artifacts = {', '.join(artifacts)}",
+    ]
+    for key in sorted(CONFIG_KEYS):
+        value = options.get(key)
+        if value is None:
+            continue
+        lines.append(f"{key} = {_fmt(value) if isinstance(value, float) else value}")
+    return "\n".join(lines) + "\n"
 
 
 def _fit_pairs(report: TrainReport, prefix: str = ""):
@@ -232,8 +220,8 @@ def _run_train_into(out: Path, options: dict, cfg: BenchConfig, subcommand: str)
     _write_keyvalues(out / "report.txt", [("function", function), ("optimizer", optimizer),
                                           ("seed", options["seed"])] + _fit_pairs(report))
     manifest_options = dict(options, function=function, optimizer=optimizer)
-    _write_manifest(out / "manifest.txt", subcommand, manifest_options,
-                    ["history.csv", "report.txt", "manifest.txt"])
+    (out / "manifest.txt").write_text(_manifest_text(subcommand, manifest_options,
+                                                     ["history.csv", "report.txt", "manifest.txt"]))
     print(f"{function} [{optimizer}] status={report.status} iterations={report.iterations} "
           f"train_error_pct={report.train_error_pct:.6g} test_error_pct={report.test_error_pct:.6g}")
     return _exit_for(report)
@@ -285,8 +273,8 @@ def cmd_compare(args) -> int:
     for name, report in rows:
         pairs += _fit_pairs(report, f"{name}_")
     _write_keyvalues(out / "report.txt", pairs)
-    _write_manifest(out / "manifest.txt", "compare", options,
-                    ["comparison.csv", "history_gd.csv", "history_bfgs.csv", "report.txt", "manifest.txt"])
+    (out / "manifest.txt").write_text(_manifest_text(
+        "compare", options, ["comparison.csv", "history_gd.csv", "history_bfgs.csv", "report.txt", "manifest.txt"]))
 
     print(f"{'optimizer':<10} {'train_error_pct':>16} {'test_error_pct':>15} {'iterations':>11} {'wall_clock_s':>13}")
     for name, report in rows:

@@ -3,8 +3,8 @@
 The flat layout is ``[W_in_hidden row-major | b_hidden | W_hidden_out
 row-major | b_out]``, which is what both optimizers treat as the point
 they are minimizing over. Targets are scaled into [0.1, 0.9] so the
-sigmoid output unit can actually reach them; the scaling endpoints are
-kept on the dataset for denormalization.
+sigmoid output unit can actually reach them; errors are measured in
+those normalized units.
 """
 
 from __future__ import annotations
@@ -22,13 +22,11 @@ __all__ = [
     "init_params",
     "unpack_params",
     "sigmoid",
-    "forward",
     "loss_mse",
     "loss_and_grad",
     "grad_backprop",
     "finite_diff_grad",
     "normalize_targets",
-    "denormalize",
     "relative_error",
 ]
 
@@ -98,53 +96,39 @@ class Network:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Sampled (input, target) rows with normalization metadata.
+    """Sampled input rows with their normalized targets.
 
     Rows [0, split_index) are the training partition, the rest is the
-    test partition. ``targets_norm`` lives in [0.1, 0.9]; ``norm_lo`` and
-    ``norm_hi`` are the raw min/max that map there.
+    test partition. ``targets_norm`` lives in [0.1, 0.9].
     """
 
     inputs: np.ndarray  # (n, n_in), raw function-domain units
-    targets_raw: np.ndarray  # (n,)
     targets_norm: np.ndarray  # (n,)
-    norm_lo: float
-    norm_hi: float
     split_index: int
 
     def __post_init__(self):
         x = np.array(self.inputs, dtype=np.float64)
-        raw = np.array(self.targets_raw, dtype=np.float64)
         norm = np.array(self.targets_norm, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] < 1:
             raise ValueError(f"inputs must be a 2-D array of non-empty rows, got shape {x.shape}")
         n = x.shape[0]
-        if n < 2 or raw.shape != (n,) or norm.shape != (n,):
-            raise ValueError("inputs, targets_raw and targets_norm need one entry per row, at least 2 rows")
-        for name, a in (("inputs", x), ("targets_raw", raw), ("targets_norm", norm)):
+        if n < 2 or norm.shape != (n,):
+            raise ValueError("inputs and targets_norm need one entry per row, at least 2 rows")
+        for name, a in (("inputs", x), ("targets_norm", norm)):
             if not np.all(np.isfinite(a)):
                 raise ValueError(f"{name} must be finite (no NaN or inf)")
             a.setflags(write=False)
         if not (np.all(norm >= NORM_LO - 1e-12) and np.all(norm <= NORM_HI + 1e-12)):
             raise ValueError(f"normalized targets must lie in [{NORM_LO}, {NORM_HI}]")
-        if not self.norm_hi > self.norm_lo:
-            raise ValueError(f"norm_lo must be < norm_hi, got [{self.norm_lo}, {self.norm_hi}]")
         if not 1 <= self.split_index < n:
             raise ValueError(f"split_index {self.split_index} leaves an empty partition for {n} rows")
         object.__setattr__(self, "inputs", x)
-        object.__setattr__(self, "targets_raw", raw)
         object.__setattr__(self, "targets_norm", norm)
 
     @classmethod
     def from_samples(cls, inputs, targets_raw, split_index: int) -> "Dataset":
         """Build a dataset by normalizing raw targets over the full sample."""
-        normed, lo, hi = normalize_targets(targets_raw)
-        return cls(np.asarray(inputs, dtype=np.float64), np.asarray(targets_raw, dtype=np.float64),
-                   normed, lo, hi, split_index)
-
-    @property
-    def n_rows(self) -> int:
-        return self.inputs.shape[0]
+        return cls(inputs, normalize_targets(targets_raw), split_index)
 
     def rows(self, which: str):
         """(inputs, normalized targets) for the 'train' or 'test' partition."""
@@ -158,11 +142,7 @@ class Dataset:
 
 
 def normalize_targets(raw):
-    """Affine map sending min(raw) -> 0.1 and max(raw) -> 0.9.
-
-    Returns (normalized, lo, hi) where lo/hi are the raw endpoints needed
-    to invert the map later.
-    """
+    """Affine map sending min(raw) -> 0.1 and max(raw) -> 0.9."""
     r = np.asarray(raw, dtype=np.float64)
     if r.ndim != 1 or r.size < 2:
         raise ValueError(f"need at least 2 raw targets, got shape {r.shape}")
@@ -171,16 +151,7 @@ def normalize_targets(raw):
     lo, hi = float(r.min()), float(r.max())
     if not hi > lo:
         raise ValueError("raw targets are constant; the normalization map is undefined")
-    normed = NORM_LO + (r - lo) * ((NORM_HI - NORM_LO) / (hi - lo))
-    return normed, lo, hi
-
-
-def denormalize(y, lo: float, hi: float):
-    """Inverse of ``normalize_targets`` for a value (or array) in [0.1, 0.9]."""
-    if not hi > lo:
-        raise ValueError(f"invalid normalization range [{lo}, {hi}]")
-    out = lo + (np.asarray(y, dtype=np.float64) - NORM_LO) * ((hi - lo) / (NORM_HI - NORM_LO))
-    return float(out) if np.ndim(out) == 0 else out
+    return NORM_LO + (r - lo) * ((NORM_HI - NORM_LO) / (hi - lo))
 
 
 def _sigmoid_inplace(a: np.ndarray) -> None:
@@ -204,16 +175,6 @@ def sigmoid(x):
     x = np.array(x, dtype=np.float64, order="C")
     _sigmoid_inplace(x.reshape(-1))  # a C-ordered copy, so this 1-d view writes into x
     return float(x) if x.ndim == 0 else x
-
-
-def forward(net: Network, x):
-    """Single-row forward pass; returns (hidden_acts, outputs)."""
-    x = np.asarray(x, dtype=np.float64)
-    t = net.topology
-    if x.shape != (t.n_in,):
-        raise ValueError(f"input has shape {x.shape}, expected ({t.n_in},)")
-    hidden, out = _forward_batch(unpack_params(t, net.params), x[None, :])
-    return hidden[0], out[0]
 
 
 def _check_net_vs_data(net: Network, data: Dataset) -> None:

@@ -24,7 +24,7 @@ from qnmlp import (
     sample_dataset,
 )
 from qnmlp.bench import _setup, beale_grad, booth_grad
-from qnmlp.mlp import Dataset
+from qnmlp.mlp import Dataset, normalize_targets
 
 
 def central_diff_2d(fn, x0, x1, step=1e-6):
@@ -134,7 +134,7 @@ class TestSampleDataset:
     def test_targets_match_surface(self):
         data = sample_dataset(BOOTH, 50, 0.8, 11)
         recomputed = booth(data.inputs[:, 0], data.inputs[:, 1])
-        assert np.array_equal(recomputed, data.targets_raw)
+        assert np.array_equal(normalize_targets(recomputed), data.targets_norm)
 
     def test_too_few_samples(self):
         with pytest.raises(ValueError):
@@ -152,20 +152,17 @@ class TestErrorPercent:
 
     def test_perfect_predictions(self):
         net = self._net_at_half()
-        data = Dataset(np.zeros((2, 1)), np.array([0.0, 1.0]),
-                       np.array([0.5, 0.5]), 0.0, 1.0, 1)
+        data = Dataset(np.zeros((2, 1)), np.array([0.5, 0.5]), 1)
         assert error_percent(net, data, "train") == 0.0
 
     def test_uniform_offset(self):
         net = self._net_at_half()
-        data = Dataset(np.zeros((3, 1)), np.array([0.0, 0.5, 1.0]),
-                       np.array([0.6, 0.6, 0.6]), 0.0, 1.0, 2)
+        data = Dataset(np.zeros((3, 1)), np.array([0.6, 0.6, 0.6]), 2)
         assert abs(error_percent(net, data, "train") - 1.0) <= 1e-12
 
     def test_constant_half_vs_09(self):
         net = self._net_at_half()
-        data = Dataset(np.zeros((3, 1)), np.array([0.0, 0.5, 1.0]),
-                       np.array([0.9, 0.9, 0.9]), 0.0, 1.0, 2)
+        data = Dataset(np.zeros((3, 1)), np.array([0.9, 0.9, 0.9]), 2)
         assert abs(error_percent(net, data, "train") - 16.0) <= 1e-12
 
     def test_invariant_under_row_permutation_within_split(self):
@@ -176,9 +173,8 @@ class TestErrorPercent:
 
         net = Network(t, init_params(t, 5))
         perm = np.r_[rng.permutation(data.split_index),
-                     data.split_index + rng.permutation(data.n_rows - data.split_index)]
-        shuffled = Dataset(data.inputs[perm], data.targets_raw[perm], data.targets_norm[perm],
-                           data.norm_lo, data.norm_hi, data.split_index)
+                     data.split_index + rng.permutation(len(data.inputs) - data.split_index)]
+        shuffled = Dataset(data.inputs[perm], data.targets_norm[perm], data.split_index)
         for rows in ("train", "test"):
             a = error_percent(net, data, rows)
             b = error_percent(net, shuffled, rows)

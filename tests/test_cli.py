@@ -289,12 +289,11 @@ class TestConfigFile:
 
 class TestRunManifest:
     def test_render_round_trips_through_parse_config(self, tmp_path):
-        from qnmlp.cli import DEFAULTS, RunManifest, parse_config
+        from qnmlp.cli import DEFAULTS, _manifest_text, parse_config
 
         options = dict(DEFAULTS, function="booth", optimizer="bfgs")
-        manifest = RunManifest("train", options, ("history.csv",))
         path = tmp_path / "manifest.txt"
-        path.write_text(manifest.render())
+        path.write_text(_manifest_text("train", options, ("history.csv",)))
         parsed = parse_config(path)
         for key, value in parsed.items():
             assert value == options[key]

@@ -693,7 +693,7 @@ class TestBfgsTrain:
         from qnmlp.mlp import _forward_batch
 
         _, outs = _forward_batch(unpack_params(net.topology, net.params), inputs)
-        data = Dataset(inputs, np.arange(5.0), outs[:, 0], 0.0, 1.0, 4)
+        data = Dataset(inputs, outs[:, 0], 4)
         trained, res = bfgs_train(net, data)
         assert res.iters == 0
         assert res.status == STATUS_CONVERGED_GRAD
