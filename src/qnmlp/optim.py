@@ -11,6 +11,7 @@ definite.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from math import exp
 from typing import Callable
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import linalg
 # loss_mse is unused here; perfbench/tracer.py still lists qnmlp.optim.loss_mse as a seam site.
-from .mlp import Dataset, Network, loss_and_grad, loss_mse, unpack_params
+from .mlp import Dataset, Network, loss_and_grad, loss_mse
 
 __all__ = [
     "STATUS_CONVERGED_GRAD",
@@ -449,47 +450,56 @@ def bfgs_train(net: Network, data: Dataset, stop: StopCriteria = StopCriteria(),
     return net.with_params(result.x_final), result
 
 
-def _online_epoch(w1, b1, w2, b2, rows, targets, eta):
-    """One online delta-rule sweep over the training rows, in Python floats.
+def _epoch_source(n_in: int, n_hidden: int) -> str:
+    """Source of the online delta-rule epoch for a (n_in, n_hidden, 1) network.
 
-    Reads the weight and bias views of ``unpack_params``, runs every row
-    step on lists of floats with ``math.exp`` (no numpy call per row) and
-    writes the result back into the views. Each hidden unit keeps its
-    input weights followed by its bias, the output unit its weights
-    followed by its bias, and every entry of ``rows`` ends with the bias
-    input 1.0: each weighted sum adds its bias last, and the bias update
-    eta * (delta * 1.0) equals eta * delta.
+    The function it defines, ``epoch(params, rows, targets, eta)``, takes
+    the flat parameters as floats in ``unpack_params`` order and returns
+    them after one sweep over the training rows. Every weight and bias is a
+    local float and every unit and input is written out, so a row step has
+    no loop and no numpy call. Each weighted sum is one expression
+    evaluated left to right, from 0.0 through the inputs to the bias times
+    1.0, and the sigmoid is ``mlp.sigmoid``'s overflow-safe form with
+    ``math.exp``.
     """
-    units = [w + [b] for w, b in zip(w1.tolist(), b1.tolist())]
-    v = w2[0].tolist() + b2.tolist()
-    for x, target in zip(rows, targets):
-        # Plain left-to-right sums: built-in sum() rounds differently since
+    xs = [f"x{i}" for i in range(n_in)]
+    hs = [f"h{j}" for j in range(n_hidden)]
+    ws = [[f"w{j}_{i}" for i in range(n_in)] for j in range(n_hidden)]
+    bs = [f"b{j}" for j in range(n_hidden)]
+    vs = [f"v{j}" for j in range(n_hidden)]
+    names = ", ".join([w for row in ws for w in row] + bs + vs + ["c"])
+
+    def neuron(out, weights, inputs, bias):
+        # One left-to-right expression: built-in sum() rounds differently since
         # Python 3.12, and math.sumprod does not exist in 3.11.
-        h = []
-        for w in units:
-            z = 0.0
-            for wj, xj in zip(w, x):
-                z += wj * xj
-            e = exp(-abs(z))  # mlp.sigmoid's overflow-safe form
-            h.append((1.0 if z >= 0 else e) / (1.0 + e))
-        h.append(1.0)
-        z = 0.0
-        for vj, hj in zip(v, h):
-            z += vj * hj
-        e = exp(-abs(z))
-        out = (1.0 if z >= 0 else e) / (1.0 + e)
-        d_out = out * (1.0 - out) * (target - out)
-        # The hidden deltas use the output weights from before this row's update.
-        for w, vj, hj in zip(units, v, h):
-            dh = hj * (1.0 - hj) * (vj * d_out)
-            for j, xj in enumerate(x):
-                w[j] += eta * (dh * xj)
-        for j, hj in enumerate(h):
-            v[j] += eta * (d_out * hj)
-    w1[:] = [w[:-1] for w in units]
-    b1[:] = [w[-1] for w in units]
-    w2[0] = v[:-1]
-    b2[0] = v[-1]
+        terms = "".join(f" + {w} * {x}" for w, x in zip(weights, inputs))
+        return [f"        z = 0.0{terms} + {bias} * 1.0",
+                "        e = exp(-abs(z))",
+                f"        {out} = (1.0 if z >= 0 else e) / (1.0 + e)"]
+
+    lines = ["def epoch(params, rows, targets, eta):",
+             f"    {names} = params",
+             f"    for ({', '.join(xs)},), t in zip(rows, targets):"]
+    for j in range(n_hidden):
+        lines += neuron(hs[j], ws[j], xs, bs[j])
+    lines += neuron("o", vs, hs, "c")
+    lines.append("        d = o * (1.0 - o) * (t - o)")
+    # The hidden deltas use the output weights from before this row's update.
+    for j in range(n_hidden):
+        lines.append(f"        dh = {hs[j]} * (1.0 - {hs[j]}) * ({vs[j]} * d)")
+        lines += [f"        {w} += eta * (dh * {x})" for w, x in zip(ws[j], xs)]
+        lines.append(f"        {bs[j]} += eta * (dh * 1.0)")
+    lines += [f"        {v} += eta * (d * {h})" for v, h in zip(vs, hs)]
+    lines += ["        c += eta * (d * 1.0)", f"    return {names}"]
+    return "\n".join(lines) + "\n"
+
+
+@cache
+def _epoch_function(n_in: int, n_hidden: int):
+    """The compiled ``_epoch_source`` function, built at its topology's first fit."""
+    namespace = {"exp": exp}
+    exec(compile(_epoch_source(n_in, n_hidden), f"<online epoch {n_in}-{n_hidden}-1>", "exec"), namespace)
+    return namespace["epoch"]
 
 
 def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig(), callback=None):
@@ -498,25 +508,24 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig(), callback=N
     ``online`` mode sweeps the training rows in stored order, updating
     after each one with the delta rule (weights by eta*delta*activation,
     biases by eta*delta); ``batch`` mode takes one step along the exact
-    averaged gradient per epoch. The online sweep runs in Python floats
-    (``_online_epoch``) and treats the single output unit as a scalar
-    (``loss_and_grad`` rejects other widths up front). It keeps the
-    operation order of the textbook form built from ``mlp.sigmoid`` and
-    ``np.outer``, but not its bits: ``math.exp`` rounds differently from
-    numpy's ``exp`` on some arguments, and its left-to-right sums from
-    BLAS's, so the two agree to within a bound (the tests hold them to
-    1e-12 relative; the measured drift is about 1e-15), not exactly. History
-    records the full-train MSE at the start and after each epoch, and
-    ``callback(epoch, params, f, grad_norm)`` fires for every history entry,
-    as in ``bfgs_minimize``. A non-finite loss or parameter ends the run
-    early with status ``diverged`` and the parameters of the last finite
-    epoch.
+    averaged gradient per epoch. The online sweep is a straight-line
+    function of Python floats, generated once per (n_in, n_hidden) and
+    cached (``_epoch_source`` is its text); it treats the single output
+    unit as a scalar (``loss_and_grad`` rejects other widths up front). It
+    keeps the operation order of the textbook form built from
+    ``mlp.sigmoid`` and ``np.outer``, but not its bits: ``math.exp``
+    rounds differently from numpy's ``exp`` on some arguments, and its
+    left-to-right sums from BLAS's, so the two agree to within a bound (the
+    tests hold them to 1e-12 relative; the measured drift is about 1e-15),
+    not exactly. History records the full-train MSE at the start and after
+    each epoch, and ``callback(epoch, params, f, grad_norm)`` fires for
+    every history entry, as in ``bfgs_minimize``. A non-finite loss or
+    parameter ends the run early with status ``diverged`` and the
+    parameters of the last finite epoch.
     """
     params = np.array(net.params)
-    w1, b1, w2, b2 = unpack_params(net.topology, params)
     x_train, targets = data.rows("train")
-    rows = [x + [1.0] for x in x_train.tolist()]
-    targets = targets.tolist()
+    rows, targets = x_train.tolist(), targets.tolist()
     # Validates topology-vs-data consistency up front, including n_out == 1,
     # which lets the online sweep carry the output unit as a scalar.
     f, grad = loss_and_grad(net, data, "train")
@@ -527,7 +536,8 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig(), callback=N
     for epoch in range(cfg.epochs + 1):
         if epoch > 0:
             if cfg.mode == "online":
-                _online_epoch(w1, b1, w2, b2, rows, targets, cfg.eta)
+                sweep = _epoch_function(net.topology.n_in, net.topology.n_hidden)
+                params[:] = sweep(params.tolist(), rows, targets, cfg.eta)
             else:
                 params -= cfg.eta * grad  # the gradient of the last history row
             diverged = not np.all(np.isfinite(params))

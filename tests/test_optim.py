@@ -1,3 +1,6 @@
+import ast
+from math import exp
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from qnmlp import (
     wolfe_line_search,
 )
 from qnmlp import BEALE, BOOTH, linalg
+from qnmlp import optim
 from qnmlp.optim import (
     STATUS_CONVERGED_GRAD,
     STATUS_DIVERGED,
@@ -556,6 +560,97 @@ def reference_online_gd(net, data, eta, epochs):
     return params, history
 
 
+def reference_scalar_epoch(w1, b1, w2, b2, rows, targets, eta):
+    """One online delta-rule sweep written with loops over lists of floats.
+
+    The loop form of the generated epoch, with the same operations in the
+    same order; it updates the ``unpack_params`` views in place. Each
+    hidden unit keeps its input weights followed by its bias, the output
+    unit its weights followed by its bias, and every entry of ``rows`` ends
+    with the bias input 1.0: each weighted sum adds its bias last, and the
+    bias update is eta * (delta * 1.0).
+    """
+    units = [w + [b] for w, b in zip(w1.tolist(), b1.tolist())]
+    v = w2[0].tolist() + b2.tolist()
+    for x, target in zip(rows, targets):
+        h = []
+        for w in units:
+            z = 0.0
+            for wj, xj in zip(w, x):
+                z += wj * xj
+            e = exp(-abs(z))  # mlp.sigmoid's overflow-safe form
+            h.append((1.0 if z >= 0 else e) / (1.0 + e))
+        h.append(1.0)
+        z = 0.0
+        for vj, hj in zip(v, h):
+            z += vj * hj
+        e = exp(-abs(z))
+        out = (1.0 if z >= 0 else e) / (1.0 + e)
+        d_out = out * (1.0 - out) * (target - out)
+        # The hidden deltas use the output weights from before this row's update.
+        for w, vj, hj in zip(units, v, h):
+            dh = hj * (1.0 - hj) * (vj * d_out)
+            for j, xj in enumerate(x):
+                w[j] += eta * (dh * xj)
+        for j, hj in enumerate(h):
+            v[j] += eta * (d_out * hj)
+    w1[:] = [w[:-1] for w in units]
+    b1[:] = [w[-1] for w in units]
+    w2[0] = v[:-1]
+    b2[0] = v[-1]
+
+
+def reference_sweep(n_in, n_hidden):
+    """``reference_scalar_epoch`` behind the generated epoch's signature."""
+    topology = Topology(n_in, n_hidden, 1)
+
+    def sweep(params, rows, targets, eta):
+        p = np.array(params)
+        reference_scalar_epoch(*unpack_params(topology, p), [x + [1.0] for x in rows], targets, eta)
+        return p
+
+    return sweep
+
+
+def random_gd_setup(n_in, hidden, scale, seed=7):
+    """60 random rows (48 for training) at n_in inputs and a scaled random network."""
+    rng = np.random.default_rng(seed)
+    data = Dataset.from_samples(rng.uniform(-2.0, 2.0, size=(60, n_in)), rng.uniform(0.0, 1.0, size=60), 48)
+    topology = Topology(n_in, hidden, 1)
+    return Network(topology, scale * init_params(topology, seed)), data
+
+
+# The generated epoch for n_in = 2, hidden = 2, as a reader checks it against
+# reference_scalar_epoch.
+EPOCH_SOURCE_2_2 = """\
+def epoch(params, rows, targets, eta):
+    w0_0, w0_1, w1_0, w1_1, b0, b1, v0, v1, c = params
+    for (x0, x1,), t in zip(rows, targets):
+        z = 0.0 + w0_0 * x0 + w0_1 * x1 + b0 * 1.0
+        e = exp(-abs(z))
+        h0 = (1.0 if z >= 0 else e) / (1.0 + e)
+        z = 0.0 + w1_0 * x0 + w1_1 * x1 + b1 * 1.0
+        e = exp(-abs(z))
+        h1 = (1.0 if z >= 0 else e) / (1.0 + e)
+        z = 0.0 + v0 * h0 + v1 * h1 + c * 1.0
+        e = exp(-abs(z))
+        o = (1.0 if z >= 0 else e) / (1.0 + e)
+        d = o * (1.0 - o) * (t - o)
+        dh = h0 * (1.0 - h0) * (v0 * d)
+        w0_0 += eta * (dh * x0)
+        w0_1 += eta * (dh * x1)
+        b0 += eta * (dh * 1.0)
+        dh = h1 * (1.0 - h1) * (v1 * d)
+        w1_0 += eta * (dh * x0)
+        w1_1 += eta * (dh * x1)
+        b1 += eta * (dh * 1.0)
+        v0 += eta * (d * h0)
+        v1 += eta * (d * h1)
+        c += eta * (d * 1.0)
+    return w0_0, w0_1, w1_0, w1_1, b0, b1, v0, v1, c
+"""
+
+
 def assert_within_1e12(actual, expected):
     """|a - b| / max(1, |a|, |b|) <= 1e-12 for every entry."""
     a = np.asarray(actual, dtype=np.float64)
@@ -600,6 +695,47 @@ class TestGdTrain:
         assert res.status == STATUS_MAX_ITERS
         assert_within_1e12(trained.params, params)
         assert_within_1e12(res.history, history)
+
+    @pytest.mark.parametrize("scale", [1.0, 50.0], ids=["plain", "saturating"])
+    @pytest.mark.parametrize("hidden", [1, 10, 40])
+    @pytest.mark.parametrize("n_in", [1, 2, 3])
+    def test_online_same_bits_as_scalar_reference(self, n_in, hidden, scale):
+        net, data = random_gd_setup(n_in, hidden, scale)
+        trained, res = gd_train(net, data, GdConfig(eta=0.1, epochs=20))
+        x_train, targets = data.rows("train")
+        expected, sweep = np.array(net.params), reference_sweep(n_in, hidden)
+        for _ in range(20):
+            expected[:] = sweep(expected.tolist(), x_train.tolist(), targets.tolist(), 0.1)
+        assert res.status == STATUS_MAX_ITERS
+        assert np.array_equal(trained.params, expected)
+
+    def test_epoch_source_pinned(self):
+        assert optim._epoch_source(2, 2) == EPOCH_SOURCE_2_2
+
+    @pytest.mark.parametrize("n_in, hidden", [(1, 1), (2, 2), (3, 12)])
+    def test_epoch_source_is_straight_line(self, n_in, hidden):
+        tree = ast.parse(optim._epoch_source(n_in, hidden))
+        (func,) = tree.body
+        arguments = {arg.arg for arg in func.args.args}
+        stored = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)
+                  and isinstance(node.ctx, ast.Store)}
+        assert not arguments & stored  # no generated local hides an argument
+        # one loop, over the rows; nothing inside a row loops
+        assert sum(isinstance(node, (ast.For, ast.While, ast.comprehension)) for node in ast.walk(tree)) == 1
+
+    def test_epoch_function_cached_per_topology(self):
+        setups = {hidden: tiny_training_setup(seed=hidden, hidden=hidden) for hidden in (3, 5)}
+        fresh = {}
+        for hidden, (net, data) in setups.items():
+            optim._epoch_function.cache_clear()
+            fresh[hidden] = gd_train(net, data, GdConfig(eta=0.1, epochs=4))[0].params
+        optim._epoch_function.cache_clear()
+        for hidden in (3, 5, 3, 5):
+            net, data = setups[hidden]
+            trained, _ = gd_train(net, data, GdConfig(eta=0.1, epochs=4))
+            assert np.array_equal(trained.params, fresh[hidden])
+        # built once per topology: the repeat fits reused the cached functions
+        assert optim._epoch_function.cache_info().misses == 2
 
     def test_vanishing_eta_changes_nothing(self):
         net, data = tiny_training_setup()

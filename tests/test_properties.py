@@ -1,4 +1,5 @@
-"""Property tests: the inverse-Hessian update and the strong-Wolfe line search.
+"""Property tests: the inverse-Hessian update, the strong-Wolfe line search and
+the generated online-GD epoch under overflow.
 
 Hypothesis draws the cases with ``derandomize=True`` and no example
 database, so every run tries the same examples and the suite stays
@@ -7,10 +8,28 @@ witness that a strong-Wolfe step exists on each drawn function. Skipped
 when hypothesis or scipy is not installed.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from qnmlp import LineSearchError, Objective, WolfeConfig, bfgs_update_inv_hessian, wolfe_line_search
+from qnmlp import (
+    Dataset,
+    GdConfig,
+    LineSearchError,
+    Network,
+    Objective,
+    Topology,
+    WolfeConfig,
+    bfgs_update_inv_hessian,
+    gd_train,
+    init_params,
+    optim,
+    unpack_params,
+    wolfe_line_search,
+)
+from qnmlp.optim import STATUS_DIVERGED
+from test_optim import reference_sweep
 
 hypothesis = pytest.importorskip("hypothesis")
 linesearch = pytest.importorskip("scipy.optimize._linesearch")
@@ -83,3 +102,46 @@ def test_scipy_finds_strong_wolfe_step_too(a, b, c, d, x0):
         phi0=f0, derphi0=slope0, c1=WOLFE.c1, c2=WOLFE.c2)
     assert alpha is not None
     assert is_strong_wolfe(alpha, f_new, slope_new, f0, slope0)
+
+
+@hypothesis.settings(PROPERTY, max_examples=100)
+# NaN sums in the first epoch: gd_train ends diverged, on the starting parameters
+@hypothesis.example(n_in=3, hidden=3, seed=1, log_hidden_scale=180, log_output_scale=180, log_input_scale=180)
+# hidden units at +-inf in every row, under an output unit that still learns
+@hypothesis.example(n_in=1, hidden=4, seed=1, log_hidden_scale=200, log_output_scale=0, log_input_scale=150)
+@hypothesis.given(n_in=st.integers(1, 3), hidden=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+                  log_hidden_scale=st.integers(0, 200), log_output_scale=st.integers(0, 200),
+                  log_input_scale=st.integers(0, 200))
+def test_generated_epoch_equals_scalar_reference_through_overflow(n_in, hidden, seed, log_hidden_scale,
+                                                                  log_output_scale, log_input_scale):
+    # Weight and input scales up to 1e200 overflow products to inf, and inf - inf
+    # to NaN. Scaling the two layers apart leaves some hidden units at +-inf with
+    # an output unit that still learns.
+    rng = np.random.default_rng(seed)
+    inputs = 10.0 ** log_input_scale * rng.uniform(-2.0, 2.0, size=(16, n_in))
+    data = Dataset.from_samples(inputs, rng.uniform(0.0, 1.0, size=16), 12)
+    topology = Topology(n_in, hidden, 1)
+    params = init_params(topology, seed)
+    w1, b1, w2, b2 = unpack_params(topology, params)
+    w1 *= 10.0 ** log_hidden_scale
+    b1 *= 10.0 ** log_hidden_scale
+    w2 *= 10.0 ** log_output_scale
+    b2 *= 10.0 ** log_output_scale
+    net = Network(topology, params)
+    x_train, targets = data.rows("train")
+    rows, targets = x_train.tolist(), targets.tolist()
+    generated, reference = np.array(net.params), np.array(net.params)
+    for _ in range(4):
+        generated[:] = optim._epoch_function(n_in, hidden)(generated.tolist(), rows, targets, 0.1)
+        reference[:] = reference_sweep(n_in, hidden)(reference.tolist(), rows, targets, 0.1)
+        assert np.array_equal(generated, reference, equal_nan=True)
+
+    cfg = GdConfig(eta=0.1, epochs=6)
+    with np.errstate(all="ignore"):  # the epoch-end loss overflows too
+        trained, res = gd_train(net, data, cfg)
+        with mock.patch.object(optim, "_epoch_function", reference_sweep):
+            expected, expected_res = gd_train(net, data, cfg)
+    assert (res.status, res.iters, res.n_fevals) == (expected_res.status, expected_res.iters, expected_res.n_fevals)
+    assert np.array_equal(trained.params, expected.params)
+    assert np.array_equal(res.history, expected_res.history, equal_nan=True)
+    hypothesis.event(f"status {res.status}, epoch 4 {'finite' if np.all(np.isfinite(generated)) else 'non-finite'}")
