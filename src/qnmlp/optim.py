@@ -288,8 +288,15 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray, *,
     None, and returned. It is written ``UPDATE_BLOCK_ROWS`` rows at a time,
     each block reading only its own rows of h_inv after Hy is formed, so
     ``out`` may be h_inv itself: the update in place allocates no n x n
-    temporary. Every entry is h_ij + (u_i s_j + s_i u_j) either way, the
-    same bits. A refused pair raises before anything is written.
+    temporary. Any other ``out`` that may share memory with h_inv raises
+    ValueError, since a later block would read rows already written. A
+    block's rank-two part is one two-term einsum over the rows (u, s) and
+    (s, u). Every entry equals the textbook h_ij + (u_i s_j + s_i u_j),
+    each product rounded before the add, in place or not. Only a rank-two
+    entry that is -0 in the textbook form may come out +0, which changes no
+    entry of an H that holds no -0; ``bfgs_minimize``'s H never holds one,
+    as it starts at I and resets to I. A refused pair raises before
+    anything is written.
     """
     ys = linalg.dot(y, s)
     if not ys > CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
@@ -300,10 +307,15 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray, *,
     u = (0.5 * (rho * rho * linalg.dot(y, hy) + rho)) * s - rho * hy
     if out is None:
         out = np.empty_like(h_inv)
+    elif out is not h_inv and np.may_share_memory(out, h_inv) and not (
+            out.shape == h_inv.shape and out.strides == h_inv.strides
+            and out.__array_interface__["data"][0] == h_inv.__array_interface__["data"][0]):
+        raise ValueError("out overlaps h_inv without being the same view")
+    left = np.array((u, s))
+    right = left[::-1]
     for start in range(0, len(h_inv), UPDATE_BLOCK_ROWS):
         blk = slice(start, start + UPDATE_BLOCK_ROWS)
-        t = np.multiply.outer(u[blk], s)
-        t += np.multiply.outer(s[blk], u)
+        t = np.einsum("ki,kj->ij", left[:, blk], right)
         np.add(h_inv[blk], t, out=out[blk])
     return out
 

@@ -273,8 +273,33 @@ class TestBfgsUpdates:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one row block and a few vectors (measured 0.43); a fresh n x n result alone is 1.0
+        # one row block and a few vectors (measured 0.33); a fresh n x n result alone is 1.0
         assert peak <= 0.5 * n * n * 8
+
+    def test_out_overlapping_h_inv_raises_before_writing(self):
+        n = 150  # three row blocks: a later block would read rows an earlier one wrote
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((n, n))
+        h = m @ m.T / n + np.eye(n)
+        s = rng.standard_normal(n)
+        y = (m @ m.T / n + np.eye(n)) @ s
+        expected = reference_expanded_update(h, s, y)
+        before = h.copy()
+        with pytest.raises(ValueError, match="overlaps"):
+            bfgs_update_inv_hessian(h, s, y, out=h.T)
+        assert np.array_equal(h, before)
+        assert bfgs_update_inv_hessian(h, s, y, out=h) is h
+        assert np.array_equal(h, expected)
+
+    def test_einsum_rounds_each_product_before_adding(self):
+        # The update's entries are fl(fl(u_i s_j) + fl(s_i u_j)) only if einsum rounds each
+        # product before the add. Here x*x - x*x is exactly 0 that way; a fused multiply-add
+        # leaves the rounding error of x*x, +-2**-60.
+        x = 1.0 + 2.0 ** -30
+        got = np.einsum("ki,kj->ij", [[x, x], [-x, x]], [[-x, x], [x, x]])[0, 1]
+        assert got == 0.0, (
+            f"np.einsum gave {got!r}, not 0.0: it fuses multiply and add on this build, so the "
+            "inverse-Hessian update's bits, which depend on einsum rounding each product, differ")
 
 
 class TestBfgsMinimize:

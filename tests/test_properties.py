@@ -29,7 +29,7 @@ from qnmlp import (
     wolfe_line_search,
 )
 from qnmlp.optim import STATUS_DIVERGED
-from test_optim import reference_sweep
+from test_optim import reference_expanded_update, reference_sweep
 
 hypothesis = pytest.importorskip("hypothesis")
 linesearch = pytest.importorskip("scipy.optimize._linesearch")
@@ -50,10 +50,14 @@ def test_in_place_update_equals_pure_update(n, seed, log_scale):
     s = rng.standard_normal(n)
     m = rng.standard_normal((n, n))
     y = (m @ m.T / n + np.eye(n)) @ s  # an SPD map keeps y.s > 0
+    expected = reference_expanded_update(h, s, y)
     pure = bfgs_update_inv_hessian(h, s, y)
     bfgs_update_inv_hessian(h, s, y, out=h)
     assert np.array_equal(h, pure)
     assert np.array_equal(h, h.T)
+    # The drawn H holds no -0, so the textbook form's signs must match too.
+    assert np.array_equal(h, expected)
+    assert np.array_equal(np.signbit(h), np.signbit(expected))
 
 
 def smooth_1d(a, b, c, d):
