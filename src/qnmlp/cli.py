@@ -135,7 +135,7 @@ def _bench_config(options: dict, optimizer: str, function: str) -> BenchConfig:
             seed=options["seed"],
             hidden=options["hidden"],
             optimizer=optimizer,
-            gd=GdConfig(eta=options["eta"], epochs=options["epochs"], mode="online"),
+            gd=GdConfig(eta=options["eta"], epochs=options["epochs"]),
             stop=StopCriteria(grad_tol=options["grad_tol"], max_iters=options["max_iters"]),
             wolfe=WolfeConfig(c1=options["c1"], c2=options["c2"]),
         )

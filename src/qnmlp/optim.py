@@ -270,9 +270,8 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
         a = min(2.0 * a, ALPHA_MAX)
 
 
-def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray, *,
-                            out: np.ndarray | None = None) -> np.ndarray:
-    """Rank-two inverse-Hessian update (I - rho s y^T) H (I - rho y s^T) + rho s s^T.
+def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Rank-two inverse-Hessian update (I - rho s y^T) H (I - rho y s^T) + rho s s^T, in place.
 
     Computed in the expanded form (Nocedal & Wright, Numerical
     Optimization, eq. 6.17) H - rho (s (Hy)^T + (Hy) s^T)
@@ -284,40 +283,32 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray, *,
     (so y.s > 0); the new matrix then satisfies the secant relation
     H' y = s and stays positive definite.
 
-    The result is written into ``out``, or into a new array when ``out`` is
-    None, and returned. It is written ``UPDATE_BLOCK_ROWS`` rows at a time,
-    each block reading only its own rows of h_inv after Hy is formed, so
-    ``out`` may be h_inv itself: the update in place allocates no n x n
-    temporary. Any other ``out`` that may share memory with h_inv raises
-    ValueError, since a later block would read rows already written. A
-    block's rank-two part is one two-term einsum over the rows (u, s) and
-    (s, u). Every entry equals the textbook h_ij + (u_i s_j + s_i u_j),
-    each product rounded before the add, in place or not. Only a rank-two
-    entry that is -0 in the textbook form may come out +0, which changes no
-    entry of an H that holds no -0; ``bfgs_minimize``'s H never holds one,
-    as it starts at I and resets to I. A refused pair raises before
-    anything is written.
+    h_inv, a writable float64 array, is overwritten with the result and
+    returned. It is written ``UPDATE_BLOCK_ROWS`` rows at a time, with no
+    n x n temporary; Hy is formed first and each block then reads and
+    writes only its own rows, so any view (transposed, strided) is updated
+    correctly. A block's rank-two part is one two-term einsum over the rows
+    (u, s) and (s, u). Every entry equals the textbook
+    h_ij + (u_i s_j + s_i u_j), each product rounded before the add. Only
+    a rank-two entry that is -0 in the textbook form may come out +0, which
+    changes no entry of an H that holds no -0; ``bfgs_minimize``'s H never
+    holds one, as it starts at I and resets to I. A refused pair, and an
+    h_inv that is not a writable float64 array (TypeError or ValueError),
+    raise before anything is written.
     """
     ys = linalg.dot(y, s)
     if not ys > CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
         raise CurvatureError(f"curvature condition violated: y.s = {ys:g}")
     rho = 1.0 / ys
-    h_inv = np.asarray(h_inv, dtype=np.float64)
     hy = h_inv @ y
     u = (0.5 * (rho * rho * linalg.dot(y, hy) + rho)) * s - rho * hy
-    if out is None:
-        out = np.empty_like(h_inv)
-    elif out is not h_inv and np.may_share_memory(out, h_inv) and not (
-            out.shape == h_inv.shape and out.strides == h_inv.strides
-            and out.__array_interface__["data"][0] == h_inv.__array_interface__["data"][0]):
-        raise ValueError("out overlaps h_inv without being the same view")
     left = np.array((u, s))
     right = left[::-1]
     for start in range(0, len(h_inv), UPDATE_BLOCK_ROWS):
         blk = slice(start, start + UPDATE_BLOCK_ROWS)
         t = np.einsum("ki,kj->ij", left[:, blk], right)
-        np.add(h_inv[blk], t, out=out[blk])
-    return out
+        np.add(h_inv[blk], t, out=h_inv[blk], casting="no")
+    return h_inv
 
 
 def bfgs_update_hessian(b: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -343,9 +334,8 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                   step_observer=None) -> MinimizeResult:
     """Full-matrix BFGS with strong-Wolfe steps, starting from H = I.
 
-    The run owns its inverse Hessian H and updates it in place, so no
-    update allocates an n x n matrix; each ``StepRecord.h_inv_after`` is a
-    copy, taken only when a ``step_observer`` is given.
+    The run updates its own H in place; each ``StepRecord.h_inv_after``
+    is a copy, taken only when a ``step_observer`` is given.
 
     ``callback(iter, x, f, grad_norm)`` fires for every recorded history
     entry (including iteration 0); ``step_observer(StepRecord)`` fires
@@ -421,7 +411,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
             s = x_new - x
             y = g_new - g
             try:
-                bfgs_update_inv_hessian(h_inv, s, y, out=h_inv)
+                bfgs_update_inv_hessian(h_inv, s, y)
                 h_is_identity = skipped = False
             except CurvatureError:
                 n_skipped_updates += 1

@@ -211,14 +211,28 @@ class TestBfgsUpdates:
         out = bfgs_update_inv_hessian(np.eye(2), s, np.array([1e-9, 1.0]))
         assert np.all(np.isfinite(out))
 
-    def test_refused_pair_leaves_out_unwritten(self):
+    def test_refused_pair_leaves_h_unwritten(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal((70, 70))  # more than one row block
         before = h.copy()
         s = rng.standard_normal(70)
         with pytest.raises(CurvatureError):
-            bfgs_update_inv_hessian(h, s, -s, out=h)
+            bfgs_update_inv_hessian(h, s, -s)
         assert np.array_equal(h, before)
+
+    def test_h_that_is_not_writable_float64_raises_unwritten(self):
+        # casting="no" on each block's write refuses these before any entry is written
+        s, y = np.array([1.0, 0.5]), np.array([2.0, 0.3])
+        read_only = np.eye(2)
+        read_only.flags.writeable = False
+        for h, error in [([[1.0, 0.0], [0.0, 1.0]], TypeError),
+                         (np.eye(2, dtype=np.int64), TypeError),
+                         (np.eye(2, dtype=np.float32), TypeError),
+                         (read_only, ValueError)]:
+            before = np.array(h, copy=True)
+            with pytest.raises(error):
+                bfgs_update_inv_hessian(h, s, y)
+            assert np.array_equal(np.asarray(h), before)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_inverse_consistency_over_sequences(self, seed):
@@ -241,23 +255,16 @@ class TestBfgsUpdates:
         rng = np.random.default_rng(n)
         m = rng.standard_normal((n, n))
         a = m @ m.T / n + np.eye(n)  # SPD map: y = A s keeps y.s > 0
-        h = ref = np.eye(n)
+        h, ref = np.eye(n), np.eye(n)
         for _ in range(30):
             s = rng.standard_normal(n)
             y = a @ s
-            before = h.copy()
-            out = bfgs_update_inv_hessian(h, s, y)
-            ref = reference_inv_update(ref, s, y)
-            assert np.array_equal(h, before), "input h_inv was modified"
-            assert out is not h and not np.shares_memory(out, h)
-            assert np.array_equal(out, out.T)
-            assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
             expected = reference_expanded_update(h, s, y)
-            assert np.array_equal(out, expected)
-            in_place = h.copy()
-            assert bfgs_update_inv_hessian(in_place, s, y, out=in_place) is in_place
-            assert np.array_equal(in_place, expected)
-            h = out
+            ref = reference_inv_update(ref, s, y)
+            assert bfgs_update_inv_hessian(h, s, y) is h
+            assert np.array_equal(h, h.T)
+            assert np.max(np.abs(h - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert np.array_equal(h, expected)
 
     def test_in_place_update_allocates_no_full_matrix(self):
         import tracemalloc
@@ -269,27 +276,12 @@ class TestBfgsUpdates:
         y = s + 0.1 * rng.standard_normal(n)
         tracemalloc.start()
         try:
-            bfgs_update_inv_hessian(h, s, y, out=h)
+            bfgs_update_inv_hessian(h, s, y)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         # one row block and a few vectors (measured 0.33); a fresh n x n result alone is 1.0
         assert peak <= 0.5 * n * n * 8
-
-    def test_out_overlapping_h_inv_raises_before_writing(self):
-        n = 150  # three row blocks: a later block would read rows an earlier one wrote
-        rng = np.random.default_rng(7)
-        m = rng.standard_normal((n, n))
-        h = m @ m.T / n + np.eye(n)
-        s = rng.standard_normal(n)
-        y = (m @ m.T / n + np.eye(n)) @ s
-        expected = reference_expanded_update(h, s, y)
-        before = h.copy()
-        with pytest.raises(ValueError, match="overlaps"):
-            bfgs_update_inv_hessian(h, s, y, out=h.T)
-        assert np.array_equal(h, before)
-        assert bfgs_update_inv_hessian(h, s, y, out=h) is h
-        assert np.array_equal(h, expected)
 
     def test_einsum_rounds_each_product_before_adding(self):
         # The update's entries are fl(fl(u_i s_j) + fl(s_i u_j)) only if einsum rounds each
@@ -462,11 +454,11 @@ class TestBfgsMinimize:
         real = optim_module.bfgs_update_inv_hessian
         calls = {"n": 0}
 
-        def refuse_second(h_inv, s, y, *, out=None):
+        def refuse_second(h_inv, s, y):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise CurvatureError("injected")
-            return real(h_inv, s, y, out=out)
+            return real(h_inv, s, y)
 
         monkeypatch.setattr(optim_module, "bfgs_update_inv_hessian", refuse_second)
         records = []
