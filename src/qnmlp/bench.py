@@ -220,19 +220,15 @@ def run_benchmark(cfg: BenchConfig) -> TrainReport:
     return _train_and_report(net0, data, cfg)
 
 
-def run_comparison(function: BenchFunction, shared_seed: int,
-                   gd_cfg: GdConfig = GdConfig(),
-                   bfgs_stop: StopCriteria = StopCriteria(),
-                   wolfe: WolfeConfig = WolfeConfig(),
-                   n_samples: int = 500, train_fraction: float = 0.8, hidden: int = 10):
+def run_comparison(function: BenchFunction, seed: int, **settings):
     """Train GD and BFGS from identical data and identical initial weights.
 
-    Returns (gd_report, bfgs_report).
+    ``settings`` are ``BenchConfig``'s other fields, by the same names
+    and with the same defaults. An ``optimizer`` among them is validated
+    and then replaced: by ``gd`` for the first fit, by ``bfgs`` for the
+    second. Returns (gd_report, bfgs_report).
     """
-    cfg = BenchConfig(function=function, n_samples=n_samples, train_fraction=train_fraction,
-                      seed=shared_seed, hidden=hidden, optimizer="gd", gd=gd_cfg, stop=bfgs_stop,
-                      wolfe=wolfe)
+    cfg = BenchConfig(function, seed=seed, **settings)
     data, net0 = _setup(cfg)
-    gd_report = _train_and_report(net0, data, cfg)
-    bfgs_report = _train_and_report(net0, data, replace(cfg, optimizer="bfgs"))
-    return gd_report, bfgs_report
+    return (_train_and_report(net0, data, replace(cfg, optimizer="gd")),
+            _train_and_report(net0, data, replace(cfg, optimizer="bfgs")))

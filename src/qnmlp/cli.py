@@ -248,19 +248,9 @@ def cmd_bench(args) -> int:
 
 def cmd_compare(args) -> int:
     options = _resolve_options(args, required=("function",))
-    # One config validates the settings both optimizers share; its optimizer field is unused.
     cfg = _bench_config(options, "gd", options["function"])
     out = _out_dir(options)
-    gd_report, bfgs_report = run_comparison(
-        cfg.function,
-        cfg.seed,
-        gd_cfg=cfg.gd,
-        bfgs_stop=cfg.stop,
-        wolfe=cfg.wolfe,
-        n_samples=cfg.n_samples,
-        train_fraction=cfg.train_fraction,
-        hidden=cfg.hidden,
-    )
+    gd_report, bfgs_report = run_comparison(**vars(cfg))
     rows = [("gd", gd_report), ("bfgs", bfgs_report)]
     lines = [COMPARISON_HEADER]
     for name, report in rows:
@@ -273,8 +263,9 @@ def cmd_compare(args) -> int:
     for name, report in rows:
         pairs += _fit_pairs(report, f"{name}_")
     _write_keyvalues(out / "report.txt", pairs)
-    (out / "manifest.txt").write_text(_manifest_text(
-        "compare", options, ["comparison.csv", "history_gd.csv", "history_bfgs.csv", "report.txt", "manifest.txt"]))
+    (out / "manifest.txt").write_text(_manifest_text(  # compare runs both optimizers, so it records none
+        "compare", dict(options, optimizer=None),
+        ["comparison.csv", "history_gd.csv", "history_bfgs.csv", "report.txt", "manifest.txt"]))
 
     print(f"{'optimizer':<10} {'train_error_pct':>16} {'test_error_pct':>15} {'iterations':>11} {'wall_clock_s':>13}")
     for name, report in rows:
@@ -283,20 +274,19 @@ def cmd_compare(args) -> int:
     return max(_exit_for(gd_report), _exit_for(bfgs_report))
 
 
-def _gradcheck_max_error(trials: int, seed: int, hidden, sabotage: bool = False) -> float:
+def _gradcheck_max_error(trials: int, seed: int, sabotage: bool = False) -> float:
     """Worst relative error between backprop and finite differences.
 
-    Each trial draws a fresh 2-h-1 network (h cycling 1..5 unless pinned)
-    and a fresh 6-row dataset whose first 5 rows are the training
-    selection. The sabotage hook flips the sign of the largest gradient
-    coordinate so a broken comparison path is detectable; it is inert
-    unless explicitly requested.
+    Each trial draws a fresh 2-h-1 network (h cycling 1..5) and a fresh
+    6-row dataset whose first 5 rows are the training selection. The
+    sabotage hook flips the sign of the largest gradient coordinate so a
+    broken comparison path is detectable; it is inert unless explicitly
+    requested.
     """
     master = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
-        h = hidden if hidden is not None else (trial % 5) + 1
-        topology = Topology(2, h, 1)
+        topology = Topology(2, (trial % 5) + 1, 1)
         net = Network(topology, init_params(topology, int(master.integers(2**31))))
         inputs = master.uniform(-1.0, 1.0, size=(6, 2))
         raw = master.uniform(0.0, 1.0, size=6)
@@ -314,12 +304,10 @@ def _gradcheck_max_error(trials: int, seed: int, hidden, sabotage: bool = False)
 def cmd_gradcheck(args) -> int:
     if args.trials is None or args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.hidden is not None and args.hidden < 1:
-        raise UsageError(f"--hidden must be >= 1, got {args.hidden}")
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
     seed = args.seed if args.seed is not None else DEFAULTS["seed"]
-    worst = _gradcheck_max_error(args.trials, seed, args.hidden, sabotage=args.sabotage)
+    worst = _gradcheck_max_error(args.trials, seed, sabotage=args.sabotage)
     print(f"gradcheck: {args.trials} trials, max relative error {worst:.3e} (tolerance {GRADCHECK_TOL:g})")
     return EXIT_OK if worst <= GRADCHECK_TOL else EXIT_NUMERICAL
 
@@ -353,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad = sub.add_parser("gradcheck", help="check backprop against finite differences")
     p_grad.add_argument("--trials", type=int, default=20)
     p_grad.add_argument("--seed", type=int)
-    p_grad.add_argument("--hidden", type=int)
     p_grad.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
     p_grad.set_defaults(handler=cmd_gradcheck)
 

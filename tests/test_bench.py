@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -245,14 +247,24 @@ class TestRunBenchmark:
             self.small_cfg(seed=-1)
 
 
+COMPARE_CFG = BenchConfig(BOOTH, n_samples=150, seed=42, gd=GdConfig(eta=0.1, epochs=120),
+                          stop=StopCriteria(grad_tol=1e-5, max_iters=150))
+
+
 @pytest.fixture(scope="module")
 def reports():
-    return run_comparison(BOOTH, 42, gd_cfg=GdConfig(eta=0.1, epochs=120),
-                          bfgs_stop=StopCriteria(grad_tol=1e-5, max_iters=150),
-                          n_samples=150)
+    return run_comparison(**vars(COMPARE_CFG))
 
 
 class TestRunComparison:
+    def test_fits_are_the_standalone_fits(self, reports):
+        # a comparison is run_benchmark of one config, once per optimizer
+        for report, optimizer in zip(reports, ("gd", "bfgs")):
+            alone = run_benchmark(replace(COMPARE_CFG, optimizer=optimizer))
+            assert report.history == alone.history
+            assert report.status == alone.status
+            assert report.init_params_hash == alone.init_params_hash
+
     def test_shared_initial_state(self, reports):
         gd_report, bfgs_report = reports
         assert gd_report.init_params_hash == bfgs_report.init_params_hash

@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from qnmlp import cli
+from qnmlp import BOOTH, BenchConfig, cli
 from qnmlp.cli import COMPARISON_HEADER, HISTORY_HEADER, main
 
 
@@ -194,6 +194,19 @@ class TestCompare:
                         "--out", str(tmp_path)])
         assert code == 1
 
+    def test_manifest_records_no_optimizer(self, tmp_path):
+        # an optimizer from --config is not one compare used, so its manifest omits it
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("optimizer = adam\n")
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli(["compare", "--function", "booth", "--config", str(cfg),
+                        "--out", str(first)] + SMALL) == 0
+        manifest = read_report(first / "manifest.txt")
+        assert "optimizer" not in manifest and manifest["function"] == "booth"
+        assert run_cli(["compare", "--config", str(first / "manifest.txt"), "--out", str(again)]) == 0
+        for name in ("history_gd.csv", "history_bfgs.csv"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+
 
 class TestGradcheck:
     def test_passes_and_prints_error(self, capsys):
@@ -210,12 +223,16 @@ class TestGradcheck:
         code = run_cli(["gradcheck", "--trials", "5", "--seed", "1", "--sabotage"])
         assert code == 2
 
-    def test_fixed_hidden_width(self):
-        code = run_cli(["gradcheck", "--trials", "4", "--seed", "9", "--hidden", "3"])
-        assert code == 0
-
 
 class TestConfigFile:
+    def test_defaults_equal_config_class_defaults(self):
+        cfg = BenchConfig(BOOTH)
+        expected = {"samples": cfg.n_samples, "train_fraction": cfg.train_fraction, "seed": cfg.seed,
+                    "hidden": cfg.hidden, "eta": cfg.gd.eta, "epochs": cfg.gd.epochs,
+                    "max_iters": cfg.stop.max_iters, "grad_tol": cfg.stop.grad_tol,
+                    "c1": cfg.wolfe.c1, "c2": cfg.wolfe.c2}
+        assert {key: cli.DEFAULTS[key] for key in expected} == expected
+
     def test_flag_overrides_file(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("eta = 0.1\nseed = 4\n")
@@ -323,9 +340,8 @@ class TestUsage:
         assert not out.exists()
 
     @pytest.mark.parametrize("flags, message", [
-        (["--hidden", "0"], "--hidden"),
         (["--seed", "-1"], "--seed"),
-    ], ids=["hidden-zero", "seed-negative"])
+    ], ids=["seed-negative"])
     def test_gradcheck_rejected_without_traceback(self, capsys, flags, message):
         code = run_cli(["gradcheck"] + flags)
         err = capsys.readouterr().err
