@@ -41,6 +41,7 @@ from .optim import (
     STATUS_DIVERGED,
     CurvatureError,
     GdConfig,
+    KernelBuildError,
     LineSearchError,
     MinimizeResult,
     NotDescentError,

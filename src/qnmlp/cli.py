@@ -24,6 +24,7 @@ from .bench import FUNCTIONS, BenchConfig, TrainReport, get_function, run_benchm
 from .mlp import Dataset, Network, Topology, finite_diff_grad, grad_backprop, init_params, relative_error
 from .optim import (
     GdConfig,
+    KernelBuildError,
     StopCriteria,
     WolfeConfig,
     STATUS_DIVERGED,
@@ -84,8 +85,9 @@ def _strip_comment(line: str) -> str:
     return _COMMENT.split(line, 1)[0].strip()
 
 
-def parse_config(path) -> dict:
-    """Read ``key = value`` lines; unknown keys fail.
+def parse_config(path, refused=()) -> dict:
+    """Read ``key = value`` lines; unknown keys, keys in ``refused`` and a
+    ``function`` or ``optimizer`` outside the CLI's choices fail.
 
     A ``#`` at the start of a line or after whitespace starts a comment.
     """
@@ -103,18 +105,23 @@ def parse_config(path) -> dict:
         if not sep:
             raise UsageError(f"{path}, line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, value = key.strip(), value.strip()
+        where = f"{path}, line {lineno}"
         if key not in CONFIG_KEYS:
-            raise UsageError(f"{path}, line {lineno}: unknown key {key!r}")
-        options[key] = _convert(key, value, f"{path}, line {lineno}")
+            raise UsageError(f"{where}: unknown key {key!r}")
+        if key in refused:
+            raise UsageError(f"{where}: key {key!r} does not apply to this subcommand")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise UsageError(f"{where}: {key} {value!r} is not one of {', '.join(_CHOICES[key])}")
+        options[key] = _convert(key, value, where)
     return options
 
 
-def _resolve_options(args, required: tuple = ()) -> dict:
+def _resolve_options(args, required: tuple = (), refused: tuple = ()) -> dict:
     """Defaults, overridden by --config file entries, overridden by flags."""
     options = dict(DEFAULTS)
     config_path = getattr(args, "config", None)
     if config_path:
-        options.update(parse_config(config_path))
+        options.update(parse_config(config_path, refused))
     for key in CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -247,7 +254,7 @@ def cmd_bench(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    options = _resolve_options(args, required=("function",))
+    options = _resolve_options(args, required=("function",), refused=("optimizer",))
     cfg = _bench_config(options, "gd", options["function"])
     out = _out_dir(options)
     gd_report, bfgs_report = run_comparison(**vars(cfg))
@@ -263,9 +270,8 @@ def cmd_compare(args) -> int:
     for name, report in rows:
         pairs += _fit_pairs(report, f"{name}_")
     _write_keyvalues(out / "report.txt", pairs)
-    (out / "manifest.txt").write_text(_manifest_text(  # compare runs both optimizers, so it records none
-        "compare", dict(options, optimizer=None),
-        ["comparison.csv", "history_gd.csv", "history_bfgs.csv", "report.txt", "manifest.txt"]))
+    (out / "manifest.txt").write_text(_manifest_text(
+        "compare", options, ["comparison.csv", "history_gd.csv", "history_bfgs.csv", "report.txt", "manifest.txt"]))
 
     print(f"{'optimizer':<10} {'train_error_pct':>16} {'test_error_pct':>15} {'iterations':>11} {'wall_clock_s':>13}")
     for name, report in rows:
@@ -352,7 +358,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
-    except UsageError as err:
+    except (UsageError, KernelBuildError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

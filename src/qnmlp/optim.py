@@ -10,9 +10,12 @@ definite.
 
 from __future__ import annotations
 
+import ctypes
+import tempfile
 from dataclasses import dataclass
 from functools import cache
 from math import exp
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -29,8 +32,8 @@ __all__ = [
     "CURVATURE_FLOOR",
     "ALPHA_MAX",
     "MAX_ZOOM_STEPS",
-    "UPDATE_BLOCK_ROWS",
     "CurvatureError",
+    "KernelBuildError",
     "LineSearchError",
     "NotDescentError",
     "Objective",
@@ -62,14 +65,20 @@ CURVATURE_FLOOR = 1e-10
 ALPHA_MAX = 1e3
 MAX_ZOOM_STEPS = 30
 
-# The inverse-Hessian update writes its result this many rows at a time, so
-# its only matrix temporary is one block, never a fresh n x n array.
-UPDATE_BLOCK_ROWS = 64
+# The inverse-Hessian update's rank-two pass is C, built at first use by this
+# command: optimised, but with no fused multiply-add, no reassociation and no
+# CPU-specific instructions, so every entry is the textbook IEEE expression.
+_KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
+_KERNEL_BUILD = ("cc", "-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
 
 
 class CurvatureError(ValueError):
     """An (s, y) pair violates the curvature condition y.s > 0 (or, for
     the inverse update, y.s > CURVATURE_FLOOR * |y| * |s|)."""
+
+
+class KernelBuildError(RuntimeError):
+    """The C compiler ``cc`` is missing or could not build the update kernel."""
 
 
 class LineSearchError(RuntimeError):
@@ -284,17 +293,15 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> 
     H' y = s and stays positive definite.
 
     h_inv, a writable float64 array, is overwritten with the result and
-    returned. It is written ``UPDATE_BLOCK_ROWS`` rows at a time, with no
-    n x n temporary; Hy is formed first and each block then reads and
-    writes only its own rows, so any view (transposed, strided) is updated
-    correctly. A block's rank-two part is one two-term einsum over the rows
-    (u, s) and (s, u). Every entry equals the textbook
-    h_ij + (u_i s_j + s_i u_j), each product rounded before the add. Only
-    a rank-two entry that is -0 in the textbook form may come out +0, which
-    changes no entry of an H that holds no -0; ``bfgs_minimize``'s H never
-    holds one, as it starts at I and resets to I. A refused pair, and an
-    h_inv that is not a writable float64 array (TypeError or ValueError),
-    raise before anything is written.
+    returned. Hy is formed first, by BLAS; the rank-two pass is then one
+    compiled loop over H's element strides, on private copies of u and s,
+    so any view (transposed, strided, reversed) is updated correctly, even
+    when s is a view into H. Every entry is the textbook
+    h_ij + (u_i s_j + s_i u_j), each product rounded before the add, sign
+    of zero included. A refused pair, and an h_inv that is not a writable,
+    aligned float64 array (TypeError or ValueError), raise before anything
+    is written. The first update of a process builds the kernel, and
+    raises KernelBuildError if it cannot.
     """
     ys = linalg.dot(y, s)
     if not ys > CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
@@ -302,13 +309,40 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> 
     rho = 1.0 / ys
     hy = h_inv @ y
     u = (0.5 * (rho * rho * linalg.dot(y, hy) + rho)) * s - rho * hy
-    left = np.array((u, s))
-    right = left[::-1]
-    for start in range(0, len(h_inv), UPDATE_BLOCK_ROWS):
-        blk = slice(start, start + UPDATE_BLOCK_ROWS)
-        t = np.einsum("ki,kj->ij", left[:, blk], right)
-        np.add(h_inv[blk], t, out=h_inv[blk], casting="no")
+    _add_rank_two(h_inv, u, s)
     return h_inv
+
+
+def _add_rank_two(h: np.ndarray, u, s) -> None:
+    """h[i, j] += u[i] * s[j] + s[i] * u[j] in place, through the compiled kernel."""
+    if not isinstance(h, np.ndarray) or h.dtype != np.float64:
+        raise TypeError(f"the inverse Hessian must be a float64 array, got {getattr(h, 'dtype', type(h).__name__)}")
+    us = np.array((u, s), dtype=np.float64)  # a private contiguous copy: s may be a view into h
+    n = us.shape[-1]
+    if not (h.flags.writeable and h.flags.aligned and h.shape == (n, n) and us.shape == (2, n)):
+        raise ValueError(f"the inverse Hessian must be a writable, aligned {n} x {n} array")
+    rs, cs = h.strides
+    _kernels().rank_two_update(h.ctypes.data, n, rs // h.itemsize, cs // h.itemsize, us.ctypes.data)
+
+
+@cache
+def _kernels() -> ctypes.CDLL:
+    """Build ``_kernels.c`` with ``cc`` and load it, once per process, from a
+    temporary directory that is removed once the library is loaded."""
+    import subprocess  # here, not at the top: importing qnmlp should not pay for it
+
+    try:
+        with tempfile.TemporaryDirectory(prefix="qnmlp-") as tmp:
+            library = Path(tmp) / "_kernels.so"
+            subprocess.run([*_KERNEL_BUILD, str(_KERNEL_SOURCE), "-o", str(library)],
+                           check=True, capture_output=True, text=True)
+            kernels = ctypes.CDLL(str(library))
+    except (OSError, subprocess.CalledProcessError) as err:
+        detail = " ".join(str(getattr(err, "stderr", None) or err).split())
+        raise KernelBuildError(f"the BFGS update's kernel could not be built with the C compiler 'cc': {detail}") from None
+    kernels.rank_two_update.argtypes = [ctypes.c_void_p] + [ctypes.c_ssize_t] * 3 + [ctypes.c_void_p]
+    kernels.rank_two_update.restype = None
+    return kernels
 
 
 def bfgs_update_hessian(b: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -194,13 +194,20 @@ class TestCompare:
                         "--out", str(tmp_path)])
         assert code == 1
 
-    def test_manifest_records_no_optimizer(self, tmp_path):
-        # an optimizer from --config is not one compare used, so its manifest omits it
+    def test_rejects_optimizer_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "c.txt"
-        cfg.write_text("optimizer = adam\n")
+        cfg.write_text("seed = 3\noptimizer = bfgs\n")
+        out = tmp_path / "run"
+        code = run_cli(["compare", "--function", "booth", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith("error: ") and "line 2" in err[0] and "'optimizer'" in err[0]
+        assert not out.exists()
+
+    def test_manifest_records_no_optimizer(self, tmp_path):
+        # compare runs both optimizers, so its manifest records none and reads back into compare
         first, again = tmp_path / "first", tmp_path / "again"
-        assert run_cli(["compare", "--function", "booth", "--config", str(cfg),
-                        "--out", str(first)] + SMALL) == 0
+        assert run_cli(["compare", "--function", "booth", "--out", str(first)] + SMALL) == 0
         manifest = read_report(first / "manifest.txt")
         assert "optimizer" not in manifest and manifest["function"] == "booth"
         assert run_cli(["compare", "--config", str(first / "manifest.txt"), "--out", str(again)]) == 0
@@ -295,6 +302,23 @@ class TestConfigFile:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: cannot read config file")
 
+    @pytest.mark.parametrize("command, line", [
+        (["train", "--optimizer", "gd"], "function = rosenbrock"),
+        (["train", "--function", "booth"], "optimizer = adam"),
+        (["bench"], "optimizer = adam"),
+        (["compare"], "function = rosenbrock"),
+    ], ids=["train-function", "train-optimizer", "bench-optimizer", "compare-function"])
+    def test_value_outside_choices_names_line(self, tmp_path, capsys, command, line):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"seed = 3\n{line}\n")
+        out = tmp_path / "o"
+        code = run_cli(command + ["--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and err[0].startswith(f"error: {cfg}, line 2: ")
+        assert repr(line.split(" = ")[1]) in err[0]
+        assert not out.exists()
+
     def test_non_numeric_value(self, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("eta = fast\n")
@@ -353,3 +377,35 @@ class TestUsage:
                         "--eta", "-1", "--out", str(tmp_path)])
         assert code == 1
         assert "eta" in capsys.readouterr().err
+
+
+class TestWithoutCompiler:
+    """The BFGS update builds its kernel with ``cc`` at first use; GD and gradcheck need none."""
+
+    def run_without_cc(self, tmp_path, argv):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        empty = tmp_path / "empty-path"
+        empty.mkdir()
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PATH=str(empty), PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", "qnmlp.cli"] + argv, env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_bfgs_fit_ends_in_one_error_line(self, tmp_path):
+        done = self.run_without_cc(tmp_path, ["train", "--function", "booth", "--optimizer", "bfgs",
+                                              "--out", str(tmp_path / "o")] + SMALL)
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'cc'" in err[0]
+        assert "Traceback" not in done.stderr
+
+    @pytest.mark.parametrize("argv", [["train", "--function", "booth", "--optimizer", "gd", "--out", "o"] + SMALL,
+                                      ["gradcheck", "--trials", "3"]], ids=["train-gd", "gradcheck"])
+    def test_gd_and_gradcheck_need_no_compiler(self, tmp_path, argv):
+        done = self.run_without_cc(tmp_path, argv)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""

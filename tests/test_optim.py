@@ -157,8 +157,8 @@ def reference_inv_update(h, s, y):
 
 def reference_expanded_update(h, s, y):
     """The expanded update H + (u s^T + s u^T) as one expression, with fresh
-    n x n temporaries: the arithmetic the in-place row blocks must match bit
-    for bit."""
+    n x n temporaries: the arithmetic the in-place kernel must match bit for
+    bit."""
     rho = 1.0 / linalg.dot(y, s)
     hy = h @ y
     u = (0.5 * (rho * rho * linalg.dot(y, hy) + rho)) * s - rho * hy
@@ -213,7 +213,7 @@ class TestBfgsUpdates:
 
     def test_refused_pair_leaves_h_unwritten(self):
         rng = np.random.default_rng(3)
-        h = rng.standard_normal((70, 70))  # more than one row block
+        h = rng.standard_normal((70, 70))
         before = h.copy()
         s = rng.standard_normal(70)
         with pytest.raises(CurvatureError):
@@ -221,14 +221,18 @@ class TestBfgsUpdates:
         assert np.array_equal(h, before)
 
     def test_h_that_is_not_writable_float64_raises_unwritten(self):
-        # casting="no" on each block's write refuses these before any entry is written
+        # the update checks H before the kernel runs, so these raise before any entry is written
         s, y = np.array([1.0, 0.5]), np.array([2.0, 0.3])
         read_only = np.eye(2)
         read_only.flags.writeable = False
+        partial_stride = np.ndarray((2, 2), dtype=np.float64, buffer=bytearray(64), strides=(17, 8))
         for h, error in [([[1.0, 0.0], [0.0, 1.0]], TypeError),
                          (np.eye(2, dtype=np.int64), TypeError),
                          (np.eye(2, dtype=np.float32), TypeError),
-                         (read_only, ValueError)]:
+                         (read_only, ValueError),
+                         (np.eye(3)[:, :2], ValueError),
+                         (np.eye(2)[None], ValueError),
+                         (partial_stride, ValueError)]:
             before = np.array(h, copy=True)
             with pytest.raises(error):
                 bfgs_update_inv_hessian(h, s, y)
@@ -280,18 +284,68 @@ class TestBfgsUpdates:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # one row block and a few vectors (measured 0.33); a fresh n x n result alone is 1.0
+        # a few vectors (measured 0.011); a fresh n x n result alone is 1.0
         assert peak <= 0.5 * n * n * 8
 
-    def test_einsum_rounds_each_product_before_adding(self):
-        # The update's entries are fl(fl(u_i s_j) + fl(s_i u_j)) only if einsum rounds each
-        # product before the add. Here x*x - x*x is exactly 0 that way; a fused multiply-add
-        # leaves the rounding error of x*x, +-2**-60.
+    def test_kernel_rounds_each_product_before_adding(self):
+        # The update's entries are fl(fl(u_i s_j) + fl(s_i u_j)) only if the compiled kernel
+        # rounds each product before the add. With u = (x, x) and s = (-x, x), entry (0, 1) is
+        # x*x - x*x, exactly 0 that way; a fused multiply-add leaves the rounding error of x*x,
+        # +-2**-60.
         x = 1.0 + 2.0 ** -30
-        got = np.einsum("ki,kj->ij", [[x, x], [-x, x]], [[-x, x], [x, x]])[0, 1]
-        assert got == 0.0, (
-            f"np.einsum gave {got!r}, not 0.0: it fuses multiply and add on this build, so the "
-            "inverse-Hessian update's bits, which depend on einsum rounding each product, differ")
+        h = np.zeros((2, 2))
+        optim._add_rank_two(h, np.array([x, x]), np.array([-x, x]))
+        assert h[0, 1] == 0.0, (
+            f"the update kernel gave {h[0, 1]!r}, not 0.0: the C compiler fused multiply and add, "
+            "so the inverse-Hessian update's bits, which depend on each product being rounded, differ")
+
+    @pytest.mark.parametrize("view", ["row", "column"])
+    def test_s_that_is_a_view_into_h(self, view):
+        rng = np.random.default_rng(11)
+        n = 7
+        m = rng.standard_normal((n, n))
+        h = m @ m.T + n * np.eye(n)
+        s = h[3] if view == "row" else h[:, 3]
+        y = 2.0 * s + 0.1 * rng.standard_normal(n)
+        expected = reference_expanded_update(h, s, y)  # a fresh array, from H and s before the update
+        bfgs_update_inv_hessian(h, s, y)
+        assert np.array_equal(h, expected)
+
+    def test_kernel_build_flags(self, monkeypatch):
+        import subprocess
+
+        commands = []
+        run = subprocess.run
+        monkeypatch.setattr(subprocess, "run", lambda command, **kw: commands.append(command) or run(command, **kw))
+        optim._kernels.__wrapped__()  # a fresh build; the process's cached library is untouched
+        [command] = commands
+        assert command[0] == "cc"
+        assert "-ffp-contract=off" in command and "-fno-fast-math" in command
+        assert not [flag for flag in command if flag.startswith("-march") or flag in ("-ffast-math", "-Ofast")]
+
+    def test_kernel_build_leaves_no_file(self, tmp_path, monkeypatch):
+        import tempfile
+        from pathlib import Path
+
+        scratch, cwd = tmp_path / "tmp", tmp_path / "cwd"
+        scratch.mkdir()
+        cwd.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        monkeypatch.chdir(cwd)
+        package = Path(optim.__file__).parent
+        before = sorted(package.iterdir())
+        optim._kernels.__wrapped__()
+        assert list(scratch.iterdir()) == [] and list(cwd.iterdir()) == []
+        assert sorted(package.iterdir()) == before
+
+    def test_kernel_built_once_per_process(self):
+        rng = np.random.default_rng(2)
+        for n in (3, 40):
+            h = np.eye(n)
+            for _ in range(3):
+                s = rng.standard_normal(n)
+                bfgs_update_inv_hessian(h, s, 2.0 * s)
+        assert optim._kernels.cache_info().misses == 1
 
 
 class TestBfgsMinimize:
