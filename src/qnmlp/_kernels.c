@@ -7,22 +7,15 @@
  */
 #include <stddef.h>
 
-/* h[i*rs + j*cs] += u[i]*s[j] + s[i]*u[j] for i, j < n, where u = us and s = us + n.
- * rs and cs are h's row and column strides in elements (either may be negative);
- * us must not overlap h. */
-void rank_two_update(double *restrict h, ptrdiff_t n, ptrdiff_t rs, ptrdiff_t cs,
-                     const double *restrict us)
+/* h[i*n + j] += u[i]*s[j] + s[i]*u[j] for i, j < n, where h is C-contiguous n x n,
+ * u = us and s = us + n; us must not overlap h. */
+void rank_two_update(double *restrict h, ptrdiff_t n, const double *restrict us)
 {
     const double *u = us, *s = us + n;
     for (ptrdiff_t i = 0; i < n; i++) {
-        double *row = h + i * rs;
+        double *row = h + i * n;
         const double ui = u[i], si = s[i];
-        if (cs == 1) {  /* the unit-stride loop vectorizes without a runtime stride check */
-            for (ptrdiff_t j = 0; j < n; j++)
-                row[j] += ui * s[j] + si * u[j];
-        } else {
-            for (ptrdiff_t j = 0; j < n; j++)
-                row[j * cs] += ui * s[j] + si * u[j];
-        }
+        for (ptrdiff_t j = 0; j < n; j++)
+            row[j] += ui * s[j] + si * u[j];
     }
 }

@@ -13,6 +13,7 @@ wall-clock fields and is byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from pathlib import Path
@@ -155,33 +156,25 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _out_dir(options: dict) -> Path:
+def _check_out(options: dict) -> None:
+    """Refuse, before any fit, an --out directory that manifest.txt could not read back."""
     value = options["out"]
     line = f"out = {value}"  # as the manifest writes it
     if line.splitlines() != [line] or _strip_comment(line).partition("=")[2].strip() != value:
         raise UsageError(f"output directory {value!r} would not read back from manifest.txt unchanged: a '#' "
                          "at its start or after whitespace starts a comment, leading and trailing "
                          "whitespace is dropped, and a line break ends the line")
-    out = Path(value)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-        probe = out / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as err:
-        raise UsageError(f"output directory {out} is not writable: {err}") from None
-    return out
 
 
-def _write_history(path: Path, history) -> None:
+def _history_text(history) -> str:
     lines = [HISTORY_HEADER]
     for iteration, train_pct, test_pct, grad_norm in history:
         lines.append(f"{iteration},{_fmt(train_pct)},{_fmt(test_pct)},{_fmt(grad_norm)}")
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_keyvalues(path: Path, pairs) -> None:
-    path.write_text("".join(f"{key} = {value}\n" for key, value in pairs))
+def _keyvalues_text(pairs) -> str:
+    return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 
 def _manifest_text(subcommand: str, options: dict, artifacts) -> str:
@@ -204,6 +197,19 @@ def _manifest_text(subcommand: str, options: dict, artifacts) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write_run(files: dict, subcommand: str, options: dict) -> None:
+    """Write files (name -> text) and a manifest.txt that lists them into --out,
+    creating it, once the run's fits are done: a failed run leaves no directory."""
+    out = Path(options["out"])
+    files = {**files, "manifest.txt": _manifest_text(subcommand, options, [*files, "manifest.txt"])}
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            (out / name).write_text(text)
+    except OSError as err:
+        raise UsageError(f"output directory {out} is not writable: {err}") from None
+
+
 def _fit_pairs(report: TrainReport, prefix: str = ""):
     """One fit's ``report.txt`` lines, each key led by ``prefix``."""
     return [
@@ -220,15 +226,11 @@ def _exit_for(report: TrainReport) -> int:
     return EXIT_NUMERICAL if report.status in (STATUS_LINE_SEARCH_FAILED, STATUS_DIVERGED) else EXIT_OK
 
 
-def _run_train_into(out: Path, options: dict, cfg: BenchConfig, subcommand: str) -> int:
+def _write_train(options: dict, cfg: BenchConfig, report: TrainReport, subcommand: str) -> int:
     function, optimizer = cfg.function.name, cfg.optimizer
-    report = run_benchmark(cfg)
-    _write_history(out / "history.csv", report.history)
-    _write_keyvalues(out / "report.txt", [("function", function), ("optimizer", optimizer),
-                                          ("seed", options["seed"])] + _fit_pairs(report))
-    manifest_options = dict(options, function=function, optimizer=optimizer)
-    (out / "manifest.txt").write_text(_manifest_text(subcommand, manifest_options,
-                                                     ["history.csv", "report.txt", "manifest.txt"]))
+    pairs = [("function", function), ("optimizer", optimizer), ("seed", options["seed"])] + _fit_pairs(report)
+    _write_run({"history.csv": _history_text(report.history), "report.txt": _keyvalues_text(pairs)},
+               subcommand, dict(options, function=function, optimizer=optimizer))
     print(f"{function} [{optimizer}] status={report.status} iterations={report.iterations} "
           f"train_error_pct={report.train_error_pct:.6g} test_error_pct={report.test_error_pct:.6g}")
     return _exit_for(report)
@@ -237,41 +239,36 @@ def _run_train_into(out: Path, options: dict, cfg: BenchConfig, subcommand: str)
 def cmd_train(args) -> int:
     options = _resolve_options(args, required=("function", "optimizer"))
     cfg = _bench_config(options, options["optimizer"], options["function"])
-    out = _out_dir(options)
-    return _run_train_into(out, options, cfg, "train")
+    _check_out(options)
+    return _write_train(options, cfg, run_benchmark(cfg), "train")
 
 
 def cmd_bench(args) -> int:
     options = _resolve_options(args, required=("optimizer",))
     configs = [_bench_config(options, options["optimizer"], function) for function in FUNCTIONS]
-    base = _out_dir(options)
-    worst = EXIT_OK
-    for cfg in configs:
-        sub = dict(options, out=str(base / cfg.function.name))
-        out = _out_dir(sub)
-        worst = max(worst, _run_train_into(out, sub, cfg, "bench"))
-    return worst
+    _check_out(options)
+    reports = [run_benchmark(cfg) for cfg in configs]
+    # joined, not normalized as Path would, so each directory reads back whenever --out does
+    return max(_write_train(dict(options, out=os.path.join(options["out"], cfg.function.name)), cfg, report, "bench")
+               for cfg, report in zip(configs, reports))
 
 
 def cmd_compare(args) -> int:
     options = _resolve_options(args, required=("function",), refused=("optimizer",))
     cfg = _bench_config(options, "gd", options["function"])
-    out = _out_dir(options)
+    _check_out(options)
     gd_report, bfgs_report = run_comparison(**vars(cfg))
     rows = [("gd", gd_report), ("bfgs", bfgs_report)]
     lines = [COMPARISON_HEADER]
     for name, report in rows:
         lines.append(f"{name},{_fmt(report.train_error_pct)},{_fmt(report.test_error_pct)},"
                      f"{report.iterations},{_fmt(report.wall_clock_s)}")
-    (out / "comparison.csv").write_text("\n".join(lines) + "\n")
-    _write_history(out / "history_gd.csv", gd_report.history)
-    _write_history(out / "history_bfgs.csv", bfgs_report.history)
     pairs = [("function", options["function"]), ("seed", options["seed"])]
     for name, report in rows:
         pairs += _fit_pairs(report, f"{name}_")
-    _write_keyvalues(out / "report.txt", pairs)
-    (out / "manifest.txt").write_text(_manifest_text(
-        "compare", options, ["comparison.csv", "history_gd.csv", "history_bfgs.csv", "report.txt", "manifest.txt"]))
+    _write_run({"comparison.csv": "\n".join(lines) + "\n", "history_gd.csv": _history_text(gd_report.history),
+                "history_bfgs.csv": _history_text(bfgs_report.history), "report.txt": _keyvalues_text(pairs)},
+               "compare", options)
 
     print(f"{'optimizer':<10} {'train_error_pct':>16} {'test_error_pct':>15} {'iterations':>11} {'wall_clock_s':>13}")
     for name, report in rows:
@@ -308,7 +305,7 @@ def _gradcheck_max_error(trials: int, seed: int, sabotage: bool = False) -> floa
 
 
 def cmd_gradcheck(args) -> int:
-    if args.trials is None or args.trials < 1:
+    if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
     if args.seed is not None and args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")

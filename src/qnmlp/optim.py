@@ -190,7 +190,6 @@ class MinimizeResult:
     grad_norm_final: float
     iters: int
     status: str
-    history: list  # (iter, f, grad_norm) per recorded iteration, including iteration 0
     n_skipped_updates: int = 0
     n_fevals: int = 0  # objective calls, the start and every line-search trial included
     n_restarts: int = 0  # steepest-descent retries after a failed quasi-Newton search
@@ -292,16 +291,16 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> 
     (so y.s > 0); the new matrix then satisfies the secant relation
     H' y = s and stays positive definite.
 
-    h_inv, a writable float64 array, is overwritten with the result and
-    returned. Hy is formed first, by BLAS; the rank-two pass is then one
-    compiled loop over H's element strides, on private copies of u and s,
-    so any view (transposed, strided, reversed) is updated correctly, even
-    when s is a view into H. Every entry is the textbook
-    h_ij + (u_i s_j + s_i u_j), each product rounded before the add, sign
-    of zero included. A refused pair, and an h_inv that is not a writable,
-    aligned float64 array (TypeError or ValueError), raise before anything
-    is written. The first update of a process builds the kernel, and
-    raises KernelBuildError if it cannot.
+    h_inv, a writable, C-contiguous float64 array such as the np.eye that
+    bfgs_minimize starts from, is overwritten with the result and returned.
+    Hy is formed first, by BLAS; the rank-two pass is then one compiled
+    unit-stride loop, on a private copy of u and s, so s may be a view
+    into H. Every entry is the textbook h_ij + (u_i s_j + s_i u_j), each
+    product rounded before the add, sign of zero included. A refused pair,
+    and an h_inv that is not a float64 array (TypeError) or not writable,
+    aligned, C-contiguous and n x n (ValueError), raise before anything is
+    written. The first update of a process builds the kernel, and raises
+    KernelBuildError if it cannot.
     """
     ys = linalg.dot(y, s)
     if not ys > CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
@@ -319,10 +318,10 @@ def _add_rank_two(h: np.ndarray, u, s) -> None:
         raise TypeError(f"the inverse Hessian must be a float64 array, got {getattr(h, 'dtype', type(h).__name__)}")
     us = np.array((u, s), dtype=np.float64)  # a private contiguous copy: s may be a view into h
     n = us.shape[-1]
-    if not (h.flags.writeable and h.flags.aligned and h.shape == (n, n) and us.shape == (2, n)):
-        raise ValueError(f"the inverse Hessian must be a writable, aligned {n} x {n} array")
-    rs, cs = h.strides
-    _kernels().rank_two_update(h.ctypes.data, n, rs // h.itemsize, cs // h.itemsize, us.ctypes.data)
+    if not (h.flags.writeable and h.flags.aligned and h.flags.c_contiguous and h.shape == (n, n)
+            and us.shape == (2, n)):
+        raise ValueError(f"the inverse Hessian must be a writable, aligned, C-contiguous {n} x {n} array")
+    _kernels().rank_two_update(h.ctypes.data, n, us.ctypes.data)
 
 
 @cache
@@ -340,7 +339,7 @@ def _kernels() -> ctypes.CDLL:
     except (OSError, subprocess.CalledProcessError) as err:
         detail = " ".join(str(getattr(err, "stderr", None) or err).split())
         raise KernelBuildError(f"the BFGS update's kernel could not be built with the C compiler 'cc': {detail}") from None
-    kernels.rank_two_update.argtypes = [ctypes.c_void_p] + [ctypes.c_ssize_t] * 3 + [ctypes.c_void_p]
+    kernels.rank_two_update.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p]
     kernels.rank_two_update.restype = None
     return kernels
 
@@ -371,9 +370,10 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     The run updates its own H in place; each ``StepRecord.h_inv_after``
     is a copy, taken only when a ``step_observer`` is given.
 
-    ``callback(iter, x, f, grad_norm)`` fires for every recorded history
-    entry (including iteration 0); ``step_observer(StepRecord)`` fires
-    for every accepted Wolfe step. On a line-search failure the search
+    ``callback(iter, x, f, grad_norm)`` fires once per iterate, iteration 0
+    included, and is the only per-iterate record; the result holds the
+    last. ``step_observer(StepRecord)`` fires for every accepted Wolfe
+    step. On a line-search failure the search
     restarts once from steepest descent with H reset to I, unless H is
     still I (the start, or no update since the last reset), where that
     retry would repeat the failed search. A direction that is not descent
@@ -395,12 +395,10 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     iteration = n_skipped_updates = n_restarts = n_salvaged = 0
     n_fevals = 1
     record = status = None
-    history = []
 
     while True:
         # Record the iterate: the start, an accepted Wolfe step or a salvaged trial.
         grad_norm = np.linalg.norm(g)
-        history.append((iteration, f, grad_norm))
         if callback is not None:
             callback(iteration, x, f, grad_norm)
         if record is not None:
@@ -462,7 +460,6 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
         grad_norm_final=grad_norm,
         iters=iteration,
         status=status,
-        history=history,
         n_skipped_updates=n_skipped_updates,
         n_fevals=n_fevals,
         n_restarts=n_restarts,
@@ -553,11 +550,10 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig(), callback=N
     rounds differently from numpy's ``exp`` on some arguments, and its
     left-to-right sums from BLAS's, so the two agree to within a bound (the
     tests hold them to 1e-12 relative; the measured drift is about 1e-15),
-    not exactly. History records the full-train MSE at the start and after
-    each epoch, and ``callback(epoch, params, f, grad_norm)`` fires for
-    every history entry, as in ``bfgs_minimize``. A non-finite loss or
-    parameter ends the run early with status ``diverged`` and the
-    parameters of the last finite epoch.
+    not exactly. ``callback(epoch, params, f, grad_norm)`` fires once per
+    iterate, as in ``bfgs_minimize``: at the start and after each epoch,
+    with the full-train MSE. A non-finite loss or parameter ends the run
+    early with status ``diverged`` and the last finite epoch.
     """
     params = np.array(net.params)
     x_train, targets = data.rows("train")
@@ -566,8 +562,7 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig(), callback=N
     # which lets the online sweep carry the output unit as a scalar.
     f, grad = loss_and_grad(net, data, "train")
     n_fevals = 1
-    trained = net  # the network of the last history row
-    history = []
+    trained = net  # the network of the last recorded epoch
     status = STATUS_MAX_ITERS
     for epoch in range(cfg.epochs + 1):
         if epoch > 0:
@@ -575,7 +570,7 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig(), callback=N
                 sweep = _epoch_function(net.topology.n_in, net.topology.n_hidden)
                 params[:] = sweep(params.tolist(), rows, targets, cfg.eta)
             else:
-                params -= cfg.eta * grad  # the gradient of the last history row
+                params -= cfg.eta * grad  # the gradient of the last recorded epoch
             diverged = not np.all(np.isfinite(params))
             if not diverged:
                 current = net.with_params(params)
@@ -587,10 +582,10 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig(), callback=N
                 break
             trained = current
         grad_norm = np.linalg.norm(grad)
-        history.append((epoch, f, grad_norm))
+        last = (epoch, f, grad_norm)  # diverging overwrites f, so the result reads this
         if callback is not None:
             callback(epoch, trained.params, f, grad_norm)
 
-    iters, f, grad_norm = history[-1]
+    iters, f, grad_norm = last
     return trained, MinimizeResult(x_final=trained.params, f_final=f, grad_norm_final=grad_norm,
-                                   iters=iters, status=status, history=history, n_fevals=n_fevals)
+                                   iters=iters, status=status, n_fevals=n_fevals)

@@ -397,11 +397,21 @@ class TestWithoutCompiler:
 
     def test_bfgs_fit_ends_in_one_error_line(self, tmp_path):
         done = self.run_without_cc(tmp_path, ["train", "--function", "booth", "--optimizer", "bfgs",
-                                              "--out", str(tmp_path / "o")] + SMALL)
+                                              "--out", "o"] + SMALL)
         assert done.returncode == 1
         err = done.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "'cc'" in err[0]
         assert "Traceback" not in done.stderr
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", [["bench", "--optimizer", "bfgs"], ["compare", "--function", "booth"]],
+                             ids=["bench", "compare"])
+    def test_failed_run_leaves_no_out_dir(self, tmp_path, command):
+        # compare's GD fit succeeds before its BFGS fit fails; nothing of the run is written
+        done = self.run_without_cc(tmp_path, command + ["--out", "o"] + SMALL)
+        assert done.returncode == 1
+        assert done.stderr.startswith("error: ") and "'cc'" in done.stderr
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv", [["train", "--function", "booth", "--optimizer", "gd", "--out", "o"] + SMALL,
                                       ["gradcheck", "--trials", "3"]], ids=["train-gd", "gradcheck"])

@@ -64,6 +64,12 @@ def assert_strong_wolfe(obj, x, p, f0, g0, alpha, cfg):
     assert abs(float(np.dot(g_new, p))) <= cfg.c2 * abs(d0), "curvature condition violated"
 
 
+def recorder():
+    """A callback that keeps (iter, f, grad_norm) of every call, and the list it fills."""
+    seen = []
+    return seen, lambda it, x, f, grad_norm: seen.append((it, f, grad_norm))
+
+
 class TestConfigValidation:
     def test_gd_eta_positive(self):
         with pytest.raises(ValueError):
@@ -232,7 +238,11 @@ class TestBfgsUpdates:
                          (read_only, ValueError),
                          (np.eye(3)[:, :2], ValueError),
                          (np.eye(2)[None], ValueError),
-                         (partial_stride, ValueError)]:
+                         (partial_stride, ValueError),
+                         # the kernel walks a C-contiguous H only
+                         (np.eye(2).T, ValueError),
+                         (np.eye(4)[::2, ::2], ValueError),
+                         (np.eye(2)[::-1], ValueError)]:
             before = np.array(h, copy=True)
             with pytest.raises(error):
                 bfgs_update_inv_hessian(h, s, y)
@@ -358,10 +368,11 @@ class TestBfgsMinimize:
 
     def test_already_converged_returns_iteration_zero(self):
         obj = quadratic_objective(np.eye(3), np.zeros(3))
-        res = bfgs_minimize(obj, np.zeros(3), StopCriteria(grad_tol=1e-8))
+        seen, callback = recorder()
+        res = bfgs_minimize(obj, np.zeros(3), StopCriteria(grad_tol=1e-8), callback=callback)
         assert res.iters == 0
         assert res.status == STATUS_CONVERGED_GRAD
-        assert len(res.history) == 1
+        assert len(seen) == 1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_quadratic_iteration_bound(self, seed):
@@ -374,9 +385,9 @@ class TestBfgsMinimize:
 
     def test_history_length_matches_iterations(self):
         obj, x0 = random_spd_quadratic(3, 5)
-        res = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-9, max_iters=40))
-        assert len(res.history) == res.iters + 1
-        assert res.history[0][0] == 0
+        seen, callback = recorder()
+        res = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-9, max_iters=40), callback=callback)
+        assert [entry[0] for entry in seen] == list(range(res.iters + 1))
 
     def test_step_invariants_on_quadratic(self):
         records = []
@@ -453,13 +464,19 @@ class TestBfgsMinimize:
         else:
             obj, x0 = random_spd_quadratic(6, 12)
             stop, status = StopCriteria(grad_tol=1e-8, max_iters=60), STATUS_CONVERGED_GRAD
-        seen = []
-        res = bfgs_minimize(obj, x0, stop,
-                            callback=lambda it, x, f, grad_norm: seen.append((it, f, grad_norm)))
+        # The result is the callback's last call: there is no second per-iterate record.
+        seen, points = [], []
+
+        def callback(it, x, f, grad_norm):
+            seen.append((it, f, grad_norm))
+            points.append(x)
+
+        res = bfgs_minimize(obj, x0, stop, callback=callback)
         assert res.status == status
-        assert len(res.history) == res.iters + 1 >= 2
-        assert seen == res.history
-        assert res.grad_norm_final == res.history[-1][2]
+        assert [entry[0] for entry in seen] == list(range(res.iters + 1)) and res.iters >= 1
+        assert seen[-1] == (res.iters, res.f_final, res.grad_norm_final)
+        assert np.array_equal(points[0], x0)
+        assert np.array_equal(points[-1], res.x_final)
         assert res.n_salvaged == (case == "salvaged")
 
     @pytest.mark.parametrize("case", ["quadratic", "beale", "salvaged"])
@@ -526,9 +543,10 @@ class TestBfgsMinimize:
 
     def test_deterministic_histories(self):
         obj, x0 = random_spd_quadratic(5, 21)
-        res1 = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-9, max_iters=50))
-        res2 = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-9, max_iters=50))
-        assert res1.history == res2.history
+        (seen1, callback1), (seen2, callback2) = recorder(), recorder()
+        res1 = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-9, max_iters=50), callback=callback1)
+        res2 = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-9, max_iters=50), callback=callback2)
+        assert seen1 == seen2
         assert np.array_equal(res1.x_final, res2.x_final)
 
     def test_max_iters_status(self):
@@ -540,9 +558,10 @@ class TestBfgsMinimize:
 
     def test_line_search_failure_reported(self):
         obj = Objective(lambda x: (-x[0], np.array([-1.0])), 1)
-        res = bfgs_minimize(obj, np.array([0.0]), StopCriteria(grad_tol=1e-8, max_iters=10))
+        seen, callback = recorder()
+        res = bfgs_minimize(obj, np.array([0.0]), StopCriteria(grad_tol=1e-8, max_iters=10), callback=callback)
         assert res.status == STATUS_LINE_SEARCH_FAILED
-        assert len(res.history) == res.iters + 1
+        assert len(seen) == res.iters + 1
         # the salvage step keeps the best point the failed search saw
         assert res.f_final <= 0.0
 
@@ -609,7 +628,8 @@ def reference_online_gd(net, data, eta, epochs):
     """Online delta rule in its textbook form: mlp.sigmoid on both layers, np.outer updates.
 
     Returns the final parameters and the (epoch, train MSE, gradient norm)
-    history, computed the way gd_train computes it.
+    of every epoch, computed the way gd_train computes what it passes its
+    callback.
     """
     params = np.array(net.params)
     w1, b1, w2, b2 = unpack_params(net.topology, params)
@@ -761,11 +781,12 @@ class TestGdTrain:
             w1, b1, _, _ = unpack_params(topology, net.params)
             z = data.rows("train")[0] @ w1.T + b1
             assert z.max() > 40.0 and z.min() < -40.0
-        trained, res = gd_train(net, data, GdConfig(eta=0.1, epochs=12))
+        seen, callback = recorder()
+        trained, res = gd_train(net, data, GdConfig(eta=0.1, epochs=12), callback=callback)
         params, history = reference_online_gd(net, data, 0.1, 12)
         assert res.status == STATUS_MAX_ITERS
         assert_within_1e12(trained.params, params)
-        assert_within_1e12(res.history, history)
+        assert_within_1e12(seen, history)
 
     @pytest.mark.parametrize("scale", [1.0, 50.0], ids=["plain", "saturating"])
     @pytest.mark.parametrize("hidden", [1, 10, 40])
@@ -840,29 +861,28 @@ class TestGdTrain:
 
     def test_history_once_per_epoch(self):
         net, data = tiny_training_setup()
-        seen = []
-        _, res = gd_train(net, data, GdConfig(eta=0.1, epochs=4),
-                          callback=lambda it, x, f, grad_norm: seen.append((it, f, grad_norm)))
-        assert len(res.history) == 5
+        seen, callback = recorder()
+        _, res = gd_train(net, data, GdConfig(eta=0.1, epochs=4), callback=callback)
         assert res.n_fevals == 5  # one loss_and_grad call at the start and one per epoch
-        assert [entry[0] for entry in res.history] == [0, 1, 2, 3, 4]
-        assert seen == res.history
+        assert [entry[0] for entry in seen] == [0, 1, 2, 3, 4]
 
     def test_deterministic(self):
         net, data = tiny_training_setup(seed=2)
-        first, res1 = gd_train(net, data, GdConfig(eta=0.1, epochs=5))
-        second, res2 = gd_train(net, data, GdConfig(eta=0.1, epochs=5))
+        (seen1, callback1), (seen2, callback2) = recorder(), recorder()
+        first, res1 = gd_train(net, data, GdConfig(eta=0.1, epochs=5), callback=callback1)
+        second, res2 = gd_train(net, data, GdConfig(eta=0.1, epochs=5), callback=callback2)
         assert np.array_equal(first.params, second.params)
-        assert res1.history == res2.history
+        assert seen1 == seen2
 
     def test_divergence_halts_with_partial_history(self, monkeypatch):
         net, data = tiny_training_setup()
         calls = poison_loss_after(monkeypatch, 2)
-        trained, res = gd_train(net, data, GdConfig(eta=0.1, epochs=10))
+        seen, callback = recorder()
+        trained, res = gd_train(net, data, GdConfig(eta=0.1, epochs=10), callback=callback)
         assert res.status == STATUS_DIVERGED
         assert res.iters < 10
         assert res.n_fevals == calls["n"]
-        assert len(res.history) == res.iters + 1
+        assert len(seen) == res.iters + 1
         assert np.all(np.isfinite(trained.params))
 
     @pytest.mark.parametrize("case", ["max_iters", "batch", "diverged"])
@@ -882,8 +902,11 @@ class TestGdTrain:
 
         trained, res = gd_train(net, data, cfg, callback=callback)
         assert res.status == status
-        assert seen == res.history
-        assert res.iters == res.history[-1][0] == (1 if case == "diverged" else 6)
+        # The result is the callback's last call, the last finite epoch when the run diverged.
+        assert [entry[0] for entry in seen] == list(range(res.iters + 1))
+        assert seen[-1] == (res.iters, res.f_final, res.grad_norm_final)
+        assert res.iters == (1 if case == "diverged" else 6)
+        assert np.isfinite(res.f_final)
         assert np.array_equal(points[0], net.params)
         assert np.array_equal(points[-1], res.x_final)
         assert np.array_equal(res.x_final, trained.params)
@@ -909,12 +932,11 @@ class TestBfgsTrain:
 
     def test_monotone_loss_history(self):
         net, data = tiny_training_setup(seed=4, rows=12)
-        seen = []
-        _, res = bfgs_train(net, data, StopCriteria(grad_tol=1e-7, max_iters=40),
-                            callback=lambda it, x, f, grad_norm: seen.append((it, f, grad_norm)))
-        losses = [f for _, f, _ in res.history]
+        seen, callback = recorder()
+        _, res = bfgs_train(net, data, StopCriteria(grad_tol=1e-7, max_iters=40), callback=callback)
+        losses = [f for _, f, _ in seen]
+        assert len(losses) == res.iters + 1
         assert all(b < a for a, b in zip(losses, losses[1:]))
-        assert seen == res.history
 
     def test_beats_gd_on_booth(self):
         data = sample_dataset(BOOTH, 200, 0.8, 42)

@@ -29,7 +29,7 @@ from qnmlp import (
     wolfe_line_search,
 )
 from qnmlp.optim import STATUS_DIVERGED
-from test_optim import reference_expanded_update, reference_sweep
+from test_optim import recorder, reference_expanded_update, reference_sweep
 
 hypothesis = pytest.importorskip("hypothesis")
 linesearch = pytest.importorskip("scipy.optimize._linesearch")
@@ -39,23 +39,10 @@ PROPERTY = hypothesis.settings(derandomize=True, database=None, deadline=None, m
 WOLFE = WolfeConfig()
 
 
-def laid_out(h, layout):
-    """A fresh copy of h in the given memory layout: C-contiguous, the
-    transpose of a C-contiguous array, or every other row and column of a
-    larger array."""
-    if layout == "C":
-        return h.copy()
-    if layout == "T":
-        return h.T.copy().T
-    big = np.zeros((2 * len(h), 2 * len(h)))
-    big[::2, ::2] = h
-    return big[::2, ::2]
-
-
 @PROPERTY
 @hypothesis.given(n=st.integers(1, 140), seed=st.integers(0, 2**32 - 1),
-                  log_scale=st.floats(-3.0, 3.0), layout=st.sampled_from(["C", "T", "strided"]))
-def test_update_equals_textbook_form(n, seed, log_scale, layout):
+                  log_scale=st.floats(-3.0, 3.0))
+def test_update_equals_textbook_form(n, seed, log_scale):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n))
     a = m @ m.T / n + np.eye(n)
@@ -63,16 +50,13 @@ def test_update_equals_textbook_form(n, seed, log_scale, layout):
     s = rng.standard_normal(n)
     m = rng.standard_normal((n, n))
     y = (m @ m.T / n + np.eye(n)) @ s  # an SPD map keeps y.s > 0
-    # BLAS may round H @ y differently per layout, so the reference reads the same layout.
-    h = laid_out(h0, layout)
-    expected = reference_expanded_update(laid_out(h0, layout), s, y)
+    h = h0.copy()
+    expected = reference_expanded_update(h0, s, y)
     assert bfgs_update_inv_hessian(h, s, y) is h
     assert np.array_equal(h, h.T)
     # The drawn H holds no -0, so the textbook form's signs must match too.
     assert np.array_equal(h, expected)
     assert np.array_equal(np.signbit(h), np.signbit(expected))
-    if layout == "strided":
-        assert not np.any(h.base[1::2]) and not np.any(h.base[:, 1::2])
 
 
 def smooth_1d(a, b, c, d):
@@ -156,11 +140,12 @@ def test_generated_epoch_equals_scalar_reference_through_overflow(n_in, hidden, 
         assert np.array_equal(generated, reference, equal_nan=True)
 
     cfg = GdConfig(eta=0.1, epochs=6)
+    (seen, record), (expected_seen, expected_record) = recorder(), recorder()
     with np.errstate(all="ignore"):  # the epoch-end loss overflows too
-        trained, res = gd_train(net, data, cfg)
+        trained, res = gd_train(net, data, cfg, callback=record)
         with mock.patch.object(optim, "_epoch_function", reference_sweep):
-            expected, expected_res = gd_train(net, data, cfg)
+            expected, expected_res = gd_train(net, data, cfg, callback=expected_record)
     assert (res.status, res.iters, res.n_fevals) == (expected_res.status, expected_res.iters, expected_res.n_fevals)
     assert np.array_equal(trained.params, expected.params)
-    assert np.array_equal(res.history, expected_res.history, equal_nan=True)
+    assert np.array_equal(seen, expected_seen, equal_nan=True)
     hypothesis.event(f"status {res.status}, epoch 4 {'finite' if np.all(np.isfinite(generated)) else 'non-finite'}")
