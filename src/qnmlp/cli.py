@@ -16,6 +16,7 @@ import argparse
 import os
 import re
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -350,10 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Building the parser costs about ten times what a parse does, so a process builds
+# it once; a parse leaves no state in it, since _Parser.error raises.
+_parser = cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args)
     except (UsageError, KernelBuildError) as err:
         print(f"error: {err}", file=sys.stderr)

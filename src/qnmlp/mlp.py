@@ -9,11 +9,16 @@ those normalized units.
 
 from __future__ import annotations
 
+import ctypes
+import tempfile
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
 
 __all__ = [
+    "KernelBuildError",
     "Topology",
     "Network",
     "Dataset",
@@ -34,6 +39,46 @@ __all__ = [
 # needs infinite weights.
 NORM_LO = 0.1
 NORM_HI = 0.9
+
+# The perceptron's elementwise passes and the inverse-Hessian update's rank-two
+# pass are C, built at first use by this command: optimised, but with no fused
+# multiply-add, no reassociation and no CPU-specific instructions, so every
+# entry is the textbook IEEE expression.
+_KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
+_KERNEL_BUILD = ("cc", "-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
+_KERNEL_SIGNATURES = {  # name -> argument types; every kernel returns nothing
+    "rank_two_update": (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p),
+    "sigmoid_begin": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t),
+    "sigmoid_end": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t),
+    "hidden_delta": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+                     ctypes.c_ssize_t, ctypes.c_ssize_t),
+}
+
+
+class KernelBuildError(RuntimeError):
+    """The C compiler ``cc`` is missing or could not build the compiled kernels."""
+
+
+@cache
+def _kernels() -> ctypes.CDLL:
+    """Build ``_kernels.c`` with ``cc`` and load it, once per process, from a
+    temporary directory that is removed once the library is loaded."""
+    import subprocess  # here, not at the top: importing qnmlp should not pay for it
+
+    try:
+        with tempfile.TemporaryDirectory(prefix="qnmlp-") as tmp:
+            library = Path(tmp) / "_kernels.so"
+            subprocess.run([*_KERNEL_BUILD, str(_KERNEL_SOURCE), "-o", str(library)],
+                           check=True, capture_output=True, text=True)
+            kernels = ctypes.CDLL(str(library))
+    except (OSError, subprocess.CalledProcessError) as err:
+        detail = " ".join(str(getattr(err, "stderr", None) or err).split())
+        raise KernelBuildError(f"the compiled kernels could not be built with the C compiler 'cc': {detail}") from None
+    for name, argtypes in _KERNEL_SIGNATURES.items():
+        function = getattr(kernels, name)
+        function.argtypes = argtypes
+        function.restype = None
+    return kernels
 
 
 @dataclass(frozen=True)
@@ -154,26 +199,26 @@ def normalize_targets(raw):
     return NORM_LO + (r - lo) * ((NORM_HI - NORM_LO) / (hi - lo))
 
 
-def _sigmoid_inplace(a: np.ndarray) -> None:
-    """Overwrite the float64 array ``a`` (ndim >= 1) with its logistic function.
+def _sigmoid_pass(kernels, t: np.ndarray, z_at: int, t_at: int, b_at: int, rows: int, cols: int) -> None:
+    """Overwrite the C-contiguous rows x cols float64 block at address z_at with
+    sigmoid(z + b), b the cols float64 values at b_at; t, at t_at, is a block of
+    the same size that ends holding exp(-|z + b|).
 
-    With z = exp(-|a|) this computes 1 / (1 + z) where a >= 0 and
-    z / (1 + z) elsewhere, so exp never overflows. One branch-free
-    numerator serves both: z <= 1 where a >= 0, so max(z, 1) = 1 there,
-    and max(z, 0) = z elsewhere (NaN stays NaN).
+    With e = exp(-|z|) this is 1 / (1 + e) where z >= 0 and e / (1 + e)
+    elsewhere, so exp never overflows. The two passes around numpy's exp are C.
     """
-    e = np.abs(a)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    num = np.maximum(e, a >= 0)
-    e += 1.0
-    np.divide(num, e, out=a)
+    kernels.sigmoid_begin(z_at, t_at, b_at, rows, cols)
+    np.exp(t, out=t)
+    kernels.sigmoid_end(z_at, t_at, rows * cols)
 
 
 def sigmoid(x):
     """Logistic function, overflow-safe for large |x|. Works elementwise."""
     x = np.array(x, dtype=np.float64, order="C")
-    _sigmoid_inplace(x.reshape(-1))  # a C-ordered copy, so this 1-d view writes into x
+    size = x.size
+    work = np.zeros(2 * size)  # exp's argument, then a zero bias (z + 0.0 keeps |z| and z >= 0)
+    at = work.ctypes.data
+    _sigmoid_pass(_kernels(), work[:size], x.ctypes.data, at, at + 8 * size, 1, size)  # x is a fresh copy
     return float(x) if x.ndim == 0 else x
 
 
@@ -185,23 +230,36 @@ def _check_net_vs_data(net: Network, data: Dataset) -> None:
         raise ValueError("dataset training needs a single output unit")
 
 
-def _forward_batch(weights, x: np.ndarray):
-    """The forward pass over rows x, given ``unpack_params``' views; returns (hidden, out)."""
-    w1, b1, w2, b2 = weights
-    hidden = x @ w1.T  # (n, n_hidden)
-    hidden += b1
-    _sigmoid_inplace(hidden)
-    out = hidden @ w2.T  # (n, n_out)
-    out += b2
-    _sigmoid_inplace(out)
-    return hidden, out
+def _forward_batch(topology: Topology, params: np.ndarray, x: np.ndarray):
+    """The forward pass over rows x, for a C-contiguous float64 ``params``.
+
+    Returns (hidden, out, work, at, p): the two layers' activations, the
+    fresh workspace [hidden | n x n_hidden spare | out | n x n_out spare]
+    that holds them, its address and the address of params. The spare
+    blocks held exp's argument and are free for the caller. Each address is
+    read once per call: ``ndarray.ctypes.data`` costs about a microsecond.
+    """
+    kernels = _kernels()
+    n, n_hidden, n_out = x.shape[0], topology.n_hidden, topology.n_out
+    size = n * n_hidden
+    work = np.empty(2 * (size + n * n_out))
+    at, p = work.ctypes.data, params.ctypes.data
+    hidden = work[:size].reshape(n, n_hidden)
+    out = work[2 * size:2 * size + n * n_out].reshape(n, n_out)
+    w1, _, w2, _ = unpack_params(topology, params)
+    np.matmul(x, w1.T, out=hidden)
+    _sigmoid_pass(kernels, work[size:2 * size], at, at + 8 * size, p + 8 * w1.size, n, n_hidden)
+    np.matmul(hidden, w2.T, out=out)
+    _sigmoid_pass(kernels, work[2 * size + n * n_out:], at + 16 * size, at + 8 * (2 * size + n * n_out),
+                  p + 8 * (topology.n_params - n_out), n, n_out)
+    return hidden, out, work, at, p
 
 
 def loss_mse(net: Network, data: Dataset, rows: str = "train") -> float:
     """Mean squared error against normalized targets on the selected rows."""
     _check_net_vs_data(net, data)
     x, t = data.rows(rows)
-    _, out = _forward_batch(unpack_params(net.topology, net.params), x)
+    out = _forward_batch(net.topology, net.params, x)[1]
     r = out[:, 0] - t
     r *= r
     return float(np.add.reduce(r) / r.size)  # np.mean's float64 sum and division
@@ -212,18 +270,19 @@ def loss_and_grad(net: Network, data: Dataset, rows: str = "train"):
     _check_net_vs_data(net, data)
     x, t = data.rows(rows)
     topo = net.topology
-    weights = unpack_params(topo, net.params)
-    hidden, out = _forward_batch(weights, x)
+    hidden, out, work, at, p = _forward_batch(topo, net.params, x)
     resid = out[:, 0] - t
-    n = x.shape[0]
+    n, n_hidden = hidden.shape
     loss = float(np.add.reduce(resid * resid) / n)  # np.mean's float64 sum and division
 
-    # The textbook products in their textbook order, written in place:
-    # d_out = 2/n * resid * out * (1 - out) and
+    # The textbook products in their textbook order, written into the
+    # workspace's spare blocks: d_out = 2/n * resid * out * (1 - out) and
     # d_hid = (d_out W2) * hidden * (1 - hidden); with one output unit d_out W2
     # is the broadcast d_out * W2, each entry one rounded product either way.
-    # gw2 reads hidden before it is overwritten with 1 - hidden.
-    d_out = (2.0 / n) * resid[:, None]  # (n, 1)
+    size = n * n_hidden
+    d_hid = work[size:2 * size].reshape(n, n_hidden)
+    d_out = work[2 * size + n:].reshape(n, 1)
+    np.multiply(2.0 / n, resid[:, None], out=d_out)
     d_out *= out
     np.subtract(1.0, out, out=out)
     d_out *= out
@@ -231,12 +290,10 @@ def loss_and_grad(net: Network, data: Dataset, rows: str = "train"):
     gw1, gb1, gw2, gb2 = unpack_params(topo, grad)
     gw2[:] = d_out.T @ hidden
     gb2[:] = d_out.sum(axis=0)
-    d_hid = d_out * weights[2]  # (n, n_hidden); weights[2] is W_hidden_out
-    d_hid *= hidden
-    np.subtract(1.0, hidden, out=hidden)
-    d_hid *= hidden
+    w2_at = p + 8 * (gw1.size + n_hidden)  # W2 follows W1 and b1 in the flat layout
+    _kernels().hidden_delta(at + 8 * size, at + 8 * (2 * size + n), w2_at, at, n, n_hidden)
     gw1[:] = d_hid.T @ x
-    gb1[:] = d_hid.sum(axis=0)
+    gb1[:] = d_hid.sum(axis=0)  # numpy's order, row by row for n_hidden >= 2 but pairwise for n_hidden = 1
     return loss, grad
 
 

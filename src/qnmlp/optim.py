@@ -10,19 +10,16 @@ definite.
 
 from __future__ import annotations
 
-import ctypes
-import tempfile
 from dataclasses import dataclass
 from functools import cache
 from math import exp
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import linalg
 # loss_mse is unused here; perfbench/tracer.py still lists qnmlp.optim.loss_mse as a seam site.
-from .mlp import Dataset, Network, loss_and_grad, loss_mse
+from .mlp import Dataset, KernelBuildError, Network, _kernels, loss_and_grad, loss_mse
 
 __all__ = [
     "STATUS_CONVERGED_GRAD",
@@ -65,20 +62,10 @@ CURVATURE_FLOOR = 1e-10
 ALPHA_MAX = 1e3
 MAX_ZOOM_STEPS = 30
 
-# The inverse-Hessian update's rank-two pass is C, built at first use by this
-# command: optimised, but with no fused multiply-add, no reassociation and no
-# CPU-specific instructions, so every entry is the textbook IEEE expression.
-_KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
-_KERNEL_BUILD = ("cc", "-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
-
 
 class CurvatureError(ValueError):
     """An (s, y) pair violates the curvature condition y.s > 0 (or, for
     the inverse update, y.s > CURVATURE_FLOOR * |y| * |s|)."""
-
-
-class KernelBuildError(RuntimeError):
-    """The C compiler ``cc`` is missing or could not build the update kernel."""
 
 
 class LineSearchError(RuntimeError):
@@ -299,8 +286,8 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> 
     product rounded before the add, sign of zero included. A refused pair,
     and an h_inv that is not a float64 array (TypeError) or not writable,
     aligned, C-contiguous and n x n (ValueError), raise before anything is
-    written. The first update of a process builds the kernel, and raises
-    KernelBuildError if it cannot.
+    written. The compiled kernels are built at their first use in a
+    process; KernelBuildError is raised if they cannot be.
     """
     ys = linalg.dot(y, s)
     if not ys > CURVATURE_FLOOR * np.linalg.norm(y) * np.linalg.norm(s):
@@ -322,26 +309,6 @@ def _add_rank_two(h: np.ndarray, u, s) -> None:
             and us.shape == (2, n)):
         raise ValueError(f"the inverse Hessian must be a writable, aligned, C-contiguous {n} x {n} array")
     _kernels().rank_two_update(h.ctypes.data, n, us.ctypes.data)
-
-
-@cache
-def _kernels() -> ctypes.CDLL:
-    """Build ``_kernels.c`` with ``cc`` and load it, once per process, from a
-    temporary directory that is removed once the library is loaded."""
-    import subprocess  # here, not at the top: importing qnmlp should not pay for it
-
-    try:
-        with tempfile.TemporaryDirectory(prefix="qnmlp-") as tmp:
-            library = Path(tmp) / "_kernels.so"
-            subprocess.run([*_KERNEL_BUILD, str(_KERNEL_SOURCE), "-o", str(library)],
-                           check=True, capture_output=True, text=True)
-            kernels = ctypes.CDLL(str(library))
-    except (OSError, subprocess.CalledProcessError) as err:
-        detail = " ".join(str(getattr(err, "stderr", None) or err).split())
-        raise KernelBuildError(f"the BFGS update's kernel could not be built with the C compiler 'cc': {detail}") from None
-    kernels.rank_two_update.argtypes = [ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p]
-    kernels.rank_two_update.restype = None
-    return kernels
 
 
 def bfgs_update_hessian(b: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:

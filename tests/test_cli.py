@@ -378,11 +378,17 @@ class TestUsage:
         assert code == 1
         assert "eta" in capsys.readouterr().err
 
+    def test_parser_built_once_and_reused_after_an_error(self, capsys):
+        assert run_cli(["gradcheck", "--trials", "many"]) == 1
+        assert run_cli(["gradcheck", "--trials", "2", "--seed", "1"]) == 0
+        assert capsys.readouterr().out.startswith("gradcheck: 2 trials")
+        assert cli._parser.cache_info().misses == 1
+
 
 class TestWithoutCompiler:
-    """The BFGS update builds its kernel with ``cc`` at first use; GD and gradcheck need none."""
+    """Every fit and ``gradcheck`` build the compiled kernels with ``cc`` at first use; ``import qnmlp`` needs none."""
 
-    def run_without_cc(self, tmp_path, argv):
+    def run_without_cc(self, tmp_path, argv, program=("-m", "qnmlp.cli")):
         import os
         import subprocess
         import sys
@@ -392,7 +398,7 @@ class TestWithoutCompiler:
         empty.mkdir()
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PATH=str(empty), PYTHONPATH=src)
-        return subprocess.run([sys.executable, "-m", "qnmlp.cli"] + argv, env=env, cwd=tmp_path,
+        return subprocess.run([sys.executable, *program, *argv], env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
 
     def test_bfgs_fit_ends_in_one_error_line(self, tmp_path):
@@ -407,7 +413,7 @@ class TestWithoutCompiler:
     @pytest.mark.parametrize("command", [["bench", "--optimizer", "bfgs"], ["compare", "--function", "booth"]],
                              ids=["bench", "compare"])
     def test_failed_run_leaves_no_out_dir(self, tmp_path, command):
-        # compare's GD fit succeeds before its BFGS fit fails; nothing of the run is written
+        # the run's first fit fails; nothing of the run is written
         done = self.run_without_cc(tmp_path, command + ["--out", "o"] + SMALL)
         assert done.returncode == 1
         assert done.stderr.startswith("error: ") and "'cc'" in done.stderr
@@ -415,7 +421,13 @@ class TestWithoutCompiler:
 
     @pytest.mark.parametrize("argv", [["train", "--function", "booth", "--optimizer", "gd", "--out", "o"] + SMALL,
                                       ["gradcheck", "--trials", "3"]], ids=["train-gd", "gradcheck"])
-    def test_gd_and_gradcheck_need_no_compiler(self, tmp_path, argv):
+    def test_gd_and_gradcheck_end_in_one_error_line(self, tmp_path, argv):
         done = self.run_without_cc(tmp_path, argv)
+        assert done.returncode == 1
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "'cc'" in err[0]
+        assert not (tmp_path / "o").exists()
+
+    def test_import_needs_no_compiler(self, tmp_path):
+        done = self.run_without_cc(tmp_path, [], program=("-c", "import qnmlp"))
         assert done.returncode == 0, done.stderr
-        assert done.stderr == ""

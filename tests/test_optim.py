@@ -349,6 +349,12 @@ class TestBfgsUpdates:
         assert sorted(package.iterdir()) == before
 
     def test_kernel_built_once_per_process(self):
+        from qnmlp.cli import _gradcheck_max_error
+
+        net, data = tiny_training_setup(seed=5)
+        gd_train(net, data, GdConfig(epochs=2))
+        bfgs_train(net, data, StopCriteria(max_iters=3))
+        _gradcheck_max_error(2, seed=0)
         rng = np.random.default_rng(2)
         for n in (3, 40):
             h = np.eye(n)
@@ -922,7 +928,7 @@ class TestBfgsTrain:
         inputs = rng.uniform(-1.0, 1.0, size=(5, 2))
         from qnmlp.mlp import _forward_batch
 
-        _, outs = _forward_batch(unpack_params(net.topology, net.params), inputs)
+        outs = _forward_batch(net.topology, net.params, inputs)[1]
         data = Dataset(inputs, outs[:, 0], 4)
         trained, res = bfgs_train(net, data)
         assert res.iters == 0
