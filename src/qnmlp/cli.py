@@ -59,7 +59,6 @@ OPTIONS = {
     "out": (str, "./out"),
 }
 _CHOICES = {"function": tuple(FUNCTIONS), "optimizer": ("gd", "bfgs")}
-CONFIG_KEYS = set(OPTIONS)
 DEFAULTS = {key: default for key, (_, default) in OPTIONS.items()}
 
 # A '#' starts a config comment only at the start of a line or after whitespace,
@@ -77,10 +76,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _convert(key: str, value: str, where: str):
+    kind = OPTIONS[key][0]
     try:
-        return OPTIONS[key][0](value)
+        return kind(value)
     except ValueError:
-        raise UsageError(f"{where}: value {value!r} for {key!r} is not a number") from None
+        noun = "an integer" if kind is int else "a number"
+        raise UsageError(f"{where}: value {value!r} for {key!r} is not {noun}") from None
 
 
 def _strip_comment(line: str) -> str:
@@ -108,7 +109,7 @@ def parse_config(path, refused=()) -> dict:
             raise UsageError(f"{path}, line {lineno}: expected 'key = value', got {line.strip()!r}")
         key, value = key.strip(), value.strip()
         where = f"{path}, line {lineno}"
-        if key not in CONFIG_KEYS:
+        if key not in OPTIONS:
             raise UsageError(f"{where}: unknown key {key!r}")
         if key in refused:
             raise UsageError(f"{where}: key {key!r} does not apply to this subcommand")
@@ -124,7 +125,7 @@ def _resolve_options(args, required: tuple = (), refused: tuple = ()) -> dict:
     config_path = getattr(args, "config", None)
     if config_path:
         options.update(parse_config(config_path, refused))
-    for key in CONFIG_KEYS:
+    for key in OPTIONS:
         value = getattr(args, key, None)
         if value is not None:
             options[key] = value
@@ -190,7 +191,7 @@ def _manifest_text(subcommand: str, options: dict, artifacts) -> str:
         f"# subcommand = {subcommand}",
         f"# artifacts = {', '.join(artifacts)}",
     ]
-    for key in sorted(CONFIG_KEYS):
+    for key in sorted(OPTIONS):
         value = options.get(key)
         if value is None:
             continue
@@ -308,10 +309,9 @@ def _gradcheck_max_error(trials: int, seed: int, sabotage: bool = False) -> floa
 def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise UsageError(f"--trials must be >= 1, got {args.trials}")
-    if args.seed is not None and args.seed < 0:
+    if args.seed < 0:
         raise UsageError(f"--seed must be >= 0, got {args.seed}")
-    seed = args.seed if args.seed is not None else DEFAULTS["seed"]
-    worst = _gradcheck_max_error(args.trials, seed, sabotage=args.sabotage)
+    worst = _gradcheck_max_error(args.trials, args.seed, sabotage=args.sabotage)
     print(f"gradcheck: {args.trials} trials, max relative error {worst:.3e} (tolerance {GRADCHECK_TOL:g})")
     return EXIT_OK if worst <= GRADCHECK_TOL else EXIT_NUMERICAL
 
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_grad = sub.add_parser("gradcheck", help="check backprop against finite differences")
     p_grad.add_argument("--trials", type=int, default=20)
-    p_grad.add_argument("--seed", type=int)
+    p_grad.add_argument("--seed", type=int, default=DEFAULTS["seed"])
     p_grad.add_argument("--sabotage", action="store_true", help=argparse.SUPPRESS)
     p_grad.set_defaults(handler=cmd_gradcheck)
 

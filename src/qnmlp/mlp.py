@@ -83,19 +83,19 @@ def _kernels() -> ctypes.CDLL:
 
 @dataclass(frozen=True)
 class Topology:
-    """Node counts of the three layers."""
+    """Node counts of the three layers; the output layer is one unit."""
 
     n_in: int
     n_hidden: int
     n_out: int = 1
 
     def __post_init__(self):
-        if min(self.n_in, self.n_hidden, self.n_out) < 1:
-            raise ValueError(f"all layer sizes must be >= 1, got {self}")
+        if min(self.n_in, self.n_hidden) < 1 or self.n_out != 1:
+            raise ValueError(f"need n_in, n_hidden >= 1 and n_out == 1, got {self}")
 
     @property
     def n_params(self) -> int:
-        return self.n_hidden * self.n_in + self.n_hidden + self.n_out * self.n_hidden + self.n_out
+        return (self.n_in + 2) * self.n_hidden + 1
 
 
 def init_params(topology: Topology, seed: int) -> np.ndarray:
@@ -109,10 +109,10 @@ def unpack_params(topology: Topology, params: np.ndarray):
     t = topology
     end_w1 = t.n_hidden * t.n_in
     end_b1 = end_w1 + t.n_hidden
-    end_w2 = end_b1 + t.n_out * t.n_hidden
+    end_w2 = end_b1 + t.n_hidden
     w1 = params[:end_w1].reshape(t.n_hidden, t.n_in)
     b1 = params[end_w1:end_b1]
-    w2 = params[end_b1:end_w2].reshape(t.n_out, t.n_hidden)
+    w2 = params[end_b1:end_w2].reshape(1, t.n_hidden)
     b2 = params[end_w2:]
     return w1, b1, w2, b2
 
@@ -226,32 +226,30 @@ def _check_net_vs_data(net: Network, data: Dataset) -> None:
     t = net.topology
     if data.inputs.shape[1] != t.n_in:
         raise ValueError(f"dataset rows have {data.inputs.shape[1]} inputs, network expects {t.n_in}")
-    if t.n_out != 1:
-        raise ValueError("dataset training needs a single output unit")
 
 
 def _forward_batch(topology: Topology, params: np.ndarray, x: np.ndarray):
     """The forward pass over rows x, for a C-contiguous float64 ``params``.
 
     Returns (hidden, out, work, at, p): the two layers' activations, the
-    fresh workspace [hidden | n x n_hidden spare | out | n x n_out spare]
-    that holds them, its address and the address of params. The spare
-    blocks held exp's argument and are free for the caller. Each address is
-    read once per call: ``ndarray.ctypes.data`` costs about a microsecond.
+    fresh workspace [hidden | n x n_hidden spare | out | n spare] that
+    holds them, its address and the address of params. The spare blocks
+    held exp's argument and are free for the caller. Each address is read
+    once per call: ``ndarray.ctypes.data`` costs about a microsecond.
     """
     kernels = _kernels()
-    n, n_hidden, n_out = x.shape[0], topology.n_hidden, topology.n_out
+    n, n_hidden = x.shape[0], topology.n_hidden
     size = n * n_hidden
-    work = np.empty(2 * (size + n * n_out))
+    work = np.empty(2 * (size + n))
     at, p = work.ctypes.data, params.ctypes.data
     hidden = work[:size].reshape(n, n_hidden)
-    out = work[2 * size:2 * size + n * n_out].reshape(n, n_out)
+    out = work[2 * size:2 * size + n].reshape(n, 1)
     w1, _, w2, _ = unpack_params(topology, params)
     np.matmul(x, w1.T, out=hidden)
     _sigmoid_pass(kernels, work[size:2 * size], at, at + 8 * size, p + 8 * w1.size, n, n_hidden)
     np.matmul(hidden, w2.T, out=out)
-    _sigmoid_pass(kernels, work[2 * size + n * n_out:], at + 16 * size, at + 8 * (2 * size + n * n_out),
-                  p + 8 * (topology.n_params - n_out), n, n_out)
+    _sigmoid_pass(kernels, work[2 * size + n:], at + 16 * size, at + 8 * (2 * size + n),
+                  p + 8 * (topology.n_params - 1), n, 1)  # the output bias is the last parameter
     return hidden, out, work, at, p
 
 

@@ -108,20 +108,19 @@ class Objective:
 
 @dataclass(frozen=True)
 class GdConfig:
-    """Gradient-descent settings. ``online`` updates after every training
-    example; ``batch`` takes one averaged-gradient step per epoch."""
+    """Gradient-descent settings: step size and epoch count; every epoch
+    updates after each training example."""
 
     eta: float = 0.1
     epochs: int = 500
-    mode: str = "online"
+    # Not a field: perfbench/tracer.py reads it; it goes with ROADMAP item 1, as the loss_mse import does.
+    mode = "online"
 
     def __post_init__(self):
         if not (self.eta > 0 and np.isfinite(self.eta)):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.mode not in ("online", "batch"):
-            raise ValueError(f"mode must be 'online' or 'batch', got {self.mode!r}")
 
 
 @dataclass(frozen=True)
@@ -505,39 +504,32 @@ def _epoch_function(n_in: int, n_hidden: int):
 def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig(), callback=None):
     """Gradient-descent baseline trainer.
 
-    ``online`` mode sweeps the training rows in stored order, updating
-    after each one with the delta rule (weights by eta*delta*activation,
-    biases by eta*delta); ``batch`` mode takes one step along the exact
-    averaged gradient per epoch. The online sweep is a straight-line
-    function of Python floats, generated once per (n_in, n_hidden) and
-    cached (``_epoch_source`` is its text); it treats the single output
-    unit as a scalar (``loss_and_grad`` rejects other widths up front). It
-    keeps the operation order of the textbook form built from
-    ``mlp.sigmoid`` and ``np.outer``, but not its bits: ``math.exp``
-    rounds differently from numpy's ``exp`` on some arguments, and its
-    left-to-right sums from BLAS's, so the two agree to within a bound (the
-    tests hold them to 1e-12 relative; the measured drift is about 1e-15),
-    not exactly. ``callback(epoch, params, f, grad_norm)`` fires once per
-    iterate, as in ``bfgs_minimize``: at the start and after each epoch,
-    with the full-train MSE. A non-finite loss or parameter ends the run
-    early with status ``diverged`` and the last finite epoch.
+    Each epoch sweeps the training rows in stored order, updating after
+    each one with the delta rule (weights by eta*delta*activation, biases
+    by eta*delta). The sweep is a straight-line function of Python floats,
+    generated once per (n_in, n_hidden) and cached (``_epoch_source`` is
+    its text); it carries the single output unit as a scalar. It keeps
+    the operation order of the textbook form built from ``mlp.sigmoid``
+    and ``np.outer``, but not its bits: ``math.exp`` rounds differently
+    from numpy's ``exp`` on some arguments, and its left-to-right sums
+    from BLAS's, so the two agree to within a bound (the tests hold them
+    to 1e-12 relative; the measured drift is about 1e-15), not exactly.
+    ``callback(epoch, params, f, grad_norm)`` fires once per iterate, as in
+    ``bfgs_minimize``: at the start and after each epoch, with the
+    full-train MSE. A non-finite loss or parameter ends the run early with
+    status ``diverged`` and the last finite epoch.
     """
     params = np.array(net.params)
     x_train, targets = data.rows("train")
     rows, targets = x_train.tolist(), targets.tolist()
-    # Validates topology-vs-data consistency up front, including n_out == 1,
-    # which lets the online sweep carry the output unit as a scalar.
-    f, grad = loss_and_grad(net, data, "train")
+    f, grad = loss_and_grad(net, data, "train")  # checks the data's width against the network first
+    sweep = _epoch_function(net.topology.n_in, net.topology.n_hidden)
     n_fevals = 1
     trained = net  # the network of the last recorded epoch
     status = STATUS_MAX_ITERS
     for epoch in range(cfg.epochs + 1):
         if epoch > 0:
-            if cfg.mode == "online":
-                sweep = _epoch_function(net.topology.n_in, net.topology.n_hidden)
-                params[:] = sweep(params.tolist(), rows, targets, cfg.eta)
-            else:
-                params -= cfg.eta * grad  # the gradient of the last recorded epoch
+            params[:] = sweep(params.tolist(), rows, targets, cfg.eta)
             diverged = not np.all(np.isfinite(params))
             if not diverged:
                 current = net.with_params(params)

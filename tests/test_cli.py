@@ -327,6 +327,17 @@ class TestConfigFile:
         assert code == 1
         assert "fast" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, noun", [("hidden = 2.0", "an integer"), ("max_iters = 1e3", "an integer"),
+                                            ("c1 = small", "a number")])
+    def test_non_numeric_value_names_expected_type(self, tmp_path, capsys, line, noun):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{line}\n")
+        code = run_cli(["train", "--function", "booth", "--optimizer", "bfgs",
+                        "--config", str(cfg), "--out", str(tmp_path / "o")])
+        key, value = line.split(" = ")
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {cfg}, line 1: value {value!r} for {key!r} is not {noun}\n"
+
 
 class TestRunManifest:
     def test_render_round_trips_through_parse_config(self, tmp_path):

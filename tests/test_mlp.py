@@ -68,7 +68,7 @@ class TestTopology:
     def test_param_count_1_1_1(self):
         assert Topology(1, 1, 1).n_params == 4
 
-    @pytest.mark.parametrize("bad", [(0, 1, 1), (1, 0, 1), (1, 1, 0)])
+    @pytest.mark.parametrize("bad", [(0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 3, 2)])
     def test_rejects_empty_layers(self, bad):
         with pytest.raises(ValueError):
             Topology(*bad)
@@ -76,11 +76,11 @@ class TestTopology:
 
 class TestInitParams:
     def test_deterministic(self):
-        t = Topology(3, 4, 2)
+        t = Topology(3, 4, 1)
         assert np.array_equal(init_params(t, 99), init_params(t, 99))
 
     def test_different_seeds_differ(self):
-        t = Topology(3, 4, 2)
+        t = Topology(3, 4, 1)
         assert not np.array_equal(init_params(t, 1), init_params(t, 2))
 
     def test_length_and_bounds(self):
@@ -102,7 +102,7 @@ class TestParamLayout:
         assert w2.shape == (1, 3) and b2.shape == (1,)
 
     def test_unpack_then_refill_roundtrips(self):
-        t = Topology(2, 3, 2)
+        t = Topology(2, 3, 1)
         p = np.random.default_rng(0).standard_normal(t.n_params)
         q = np.empty_like(p)
         for src, dst in zip(unpack_params(t, p), unpack_params(t, q)):
@@ -195,9 +195,9 @@ def forward_rows(topology, params, rows):
 
 class TestForward:
     def test_zero_params_give_half_everywhere(self):
-        t = Topology(3, 5, 2)
+        t = Topology(3, 5, 1)
         hidden, out = forward_rows(t, np.zeros(t.n_params), [0.7, -2.0, 4.0])
-        assert hidden.shape == (1, 5) and out.shape == (1, 2)
+        assert hidden.shape == (1, 5) and out.shape == (1, 1)
         assert np.all(hidden == 0.5) and np.all(out == 0.5)
 
     def test_output_bias_drives_saturation(self):
@@ -218,7 +218,7 @@ class TestForward:
     @pytest.mark.parametrize("seed", range(10))
     def test_outputs_strictly_inside_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
-        t = Topology(2, 3, 2)
+        t = Topology(2, 3, 1)
         hidden, out = forward_rows(t, init_params(t, seed), rng.uniform(-10.0, 10.0, 2))
         for v in (*hidden[0], *out[0]):
             assert 0.0 < v < 1.0
@@ -317,13 +317,6 @@ class TestLossMse:
         net = Network(t, init_params(t, 4))
         data = make_dataset(rng, 8, 2, 6)
         assert loss_mse(net, data, "train") >= 0.0
-
-    def test_multi_output_network_rejected(self):
-        t = Topology(2, 3, 2)
-        net = Network(t, np.zeros(t.n_params))
-        data = make_dataset(np.random.default_rng(0), 5, 2, 3)
-        with pytest.raises(ValueError):
-            loss_mse(net, data, "train")
 
     def test_input_width_mismatch_rejected(self):
         t = Topology(3, 3, 1)

@@ -19,7 +19,6 @@ from qnmlp import (
     bfgs_train,
     bfgs_update_hessian,
     bfgs_update_inv_hessian,
-    finite_diff_grad,
     gd_train,
     grad_backprop,
     init_params,
@@ -78,10 +77,6 @@ class TestConfigValidation:
     def test_gd_eta_finite(self):
         with pytest.raises(ValueError):
             GdConfig(eta=float("inf"))
-
-    def test_gd_mode(self):
-        with pytest.raises(ValueError):
-            GdConfig(mode="minibatch")
 
     def test_wolfe_constant_ordering(self):
         with pytest.raises(ValueError):
@@ -847,23 +842,14 @@ class TestGdTrain:
         trained, _ = gd_train(net, data, GdConfig(eta=1e-12, epochs=1))
         assert np.all(np.abs(trained.params - net.params) <= 1e-10)
 
-    def test_batch_step_is_minus_eta_grad(self):
-        net, data = tiny_training_setup(seed=5, rows=2, hidden=1)
-        eta = 0.05
-        grad = grad_backprop(net, data, "train")
-        trained, _ = gd_train(net, data, GdConfig(eta=eta, epochs=1, mode="batch"))
-        assert np.array_equal(trained.params, net.params - eta * grad)
-        # the output-bias coordinate of the gradient agrees with the oracle
-        oracle = finite_diff_grad(net, data, "train", 1e-5)
-        assert abs(grad[-1] - oracle[-1]) <= 1e-9
-
-    def test_online_matches_batch_on_single_row_after_factor(self):
-        # one training example: the per-example rule with eta equals the
-        # batch rule with eta/2 (the averaged loss carries the factor 2/N)
+    def test_single_row_epoch_is_half_eta_gradient_step(self):
+        # one training example: the per-example rule with eta is a gradient step
+        # with eta/2 on the averaged loss, which carries the factor 2/N
         net, data = tiny_training_setup(seed=9, rows=2, hidden=2)
-        online, _ = gd_train(net, data, GdConfig(eta=0.2, epochs=1, mode="online"))
-        batch, _ = gd_train(net, data, GdConfig(eta=0.1, epochs=1, mode="batch"))
-        assert np.all(np.abs(online.params - batch.params) <= 1e-12)
+        eta = 0.2
+        online, _ = gd_train(net, data, GdConfig(eta=eta, epochs=1))
+        expected = net.params - (eta / 2) * grad_backprop(net, data, "train")
+        assert np.all(np.abs(online.params - expected) <= 1e-12)
 
     def test_history_once_per_epoch(self):
         net, data = tiny_training_setup()
@@ -891,13 +877,11 @@ class TestGdTrain:
         assert len(seen) == res.iters + 1
         assert np.all(np.isfinite(trained.params))
 
-    @pytest.mark.parametrize("case", ["max_iters", "batch", "diverged"])
+    @pytest.mark.parametrize("case", ["max_iters", "diverged"])
     def test_callback_matches_history(self, case, monkeypatch):
         net, data = tiny_training_setup()
         cfg, status = GdConfig(eta=0.1, epochs=6), STATUS_MAX_ITERS
-        if case == "batch":
-            cfg = GdConfig(eta=0.1, epochs=6, mode="batch")
-        elif case == "diverged":
+        if case == "diverged":
             poison_loss_after(monkeypatch, 2)  # the loss after epoch 2 is NaN
             status = STATUS_DIVERGED
         seen, points = [], []
