@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .mlp import Dataset, Network, Topology, init_params, loss_mse
+from .mlp import Dataset, Network, Topology, _store_count, _Unchecked, init_params, loss_mse
 from .optim import (
     GdConfig,
     Objective,
@@ -126,6 +126,8 @@ class BenchConfig:
     wolfe: WolfeConfig = field(default_factory=WolfeConfig)
 
     def __post_init__(self):
+        for name in ("n_samples", "seed", "hidden"):
+            _store_count(self, name)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.train_fraction < 1.0:
@@ -187,7 +189,7 @@ def _train_and_report(net0: Network, data: Dataset, cfg: BenchConfig) -> TrainRe
     history = []
 
     def record(iteration, params, train_mse, grad_norm):
-        test_pct = error_percent(net0.with_params(params), data, "test")
+        test_pct = error_percent(_Unchecked(net0.topology, params), data, "test")
         history.append((iteration, 100.0 * train_mse, test_pct, grad_norm))
 
     start = time.perf_counter()

@@ -10,10 +10,12 @@ those normalized units.
 from __future__ import annotations
 
 import ctypes
+import operator
 import tempfile
 from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,6 +83,18 @@ def _kernels() -> ctypes.CDLL:
     return kernels
 
 
+def _store_count(owner, name: str) -> int:
+    """Store the frozen dataclass field ``owner.name`` as an int, through
+    ``operator.index``, and return it; a ValueError naming the field if it is not one."""
+    value = getattr(owner, name)
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    object.__setattr__(owner, name, count)
+    return count
+
+
 @dataclass(frozen=True)
 class Topology:
     """Node counts of the three layers; the output layer is one unit."""
@@ -90,6 +104,8 @@ class Topology:
     n_out: int = 1
 
     def __post_init__(self):
+        for name in ("n_in", "n_hidden", "n_out"):
+            _store_count(self, name)
         if min(self.n_in, self.n_hidden) < 1 or self.n_out != 1:
             raise ValueError(f"need n_in, n_hidden >= 1 and n_out == 1, got {self}")
 
@@ -139,6 +155,14 @@ class Network:
         return Network(self.topology, params)
 
 
+class _Unchecked(NamedTuple):
+    """What the loss functions read of a ``Network``, without its copy and
+    check: for a finite vector that the caller has just made, such as a BFGS trial."""
+
+    topology: Topology
+    params: np.ndarray
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Sampled input rows with their normalized targets.
@@ -152,6 +176,7 @@ class Dataset:
     split_index: int
 
     def __post_init__(self):
+        _store_count(self, "split_index")
         x = np.array(self.inputs, dtype=np.float64)
         norm = np.array(self.targets_norm, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] < 1:
@@ -169,6 +194,11 @@ class Dataset:
             raise ValueError(f"split_index {self.split_index} leaves an empty partition for {n} rows")
         object.__setattr__(self, "inputs", x)
         object.__setattr__(self, "targets_norm", norm)
+        object.__setattr__(self, "_passes", {})  # (rows, topology) -> _Pass, filled at first use
+
+    def __getstate__(self):
+        # A copy or an unpickled dataset makes its own passes: these hold this one's addresses.
+        return {**self.__dict__, "_passes": {}}
 
     @classmethod
     def from_samples(cls, inputs, targets_raw, split_index: int) -> "Dataset":
@@ -184,6 +214,13 @@ class Dataset:
         else:
             raise ValueError(f"row selector must be 'train' or 'test', got {which!r}")
         return self.inputs[sel], self.targets_norm[sel]
+
+    def _pass(self, rows: str, topology: Topology) -> "_Pass":
+        """The forward and backward pass over one partition for one topology, made at first use."""
+        found = self._passes.get((rows, topology))
+        if found is None:
+            found = self._passes[rows, topology] = _Pass(topology, *self.rows(rows))
+        return found
 
 
 def normalize_targets(raw):
@@ -222,77 +259,86 @@ def sigmoid(x):
     return float(x) if x.ndim == 0 else x
 
 
-def _check_net_vs_data(net: Network, data: Dataset) -> None:
-    t = net.topology
-    if data.inputs.shape[1] != t.n_in:
-        raise ValueError(f"dataset rows have {data.inputs.shape[1]} inputs, network expects {t.n_in}")
+class _Pass:
+    """The forward and backward pass over rows x with targets t, for one topology.
 
-
-def _forward_batch(topology: Topology, params: np.ndarray, x: np.ndarray):
-    """The forward pass over rows x, for a C-contiguous float64 ``params``.
-
-    Returns (hidden, out, work, at, p): the two layers' activations, the
-    fresh workspace [hidden | n x n_hidden spare | out | n spare] that
-    holds them, its address and the address of params. The spare blocks
-    held exp's argument and are free for the caller. Each address is read
-    once per call: ``ndarray.ctypes.data`` costs about a microsecond.
+    ``Dataset._pass`` builds one per partition and topology, at first use.
+    It allocates the workspace [hidden | n x n_hidden spare | out | n spare]
+    and a parameter buffer once, and reads their addresses once
+    (``ndarray.ctypes.data`` costs about a microsecond). Each call copies its
+    parameters into the buffer and overwrites the whole workspace before
+    reading it, so no call sees another's values; the spare blocks take exp's
+    argument and then the deltas. Two threads must not share one pass.
     """
-    kernels = _kernels()
-    n, n_hidden = x.shape[0], topology.n_hidden
-    size = n * n_hidden
-    work = np.empty(2 * (size + n))
-    at, p = work.ctypes.data, params.ctypes.data
-    hidden = work[:size].reshape(n, n_hidden)
-    out = work[2 * size:2 * size + n].reshape(n, 1)
-    w1, _, w2, _ = unpack_params(topology, params)
-    np.matmul(x, w1.T, out=hidden)
-    _sigmoid_pass(kernels, work[size:2 * size], at, at + 8 * size, p + 8 * w1.size, n, n_hidden)
-    np.matmul(hidden, w2.T, out=out)
-    _sigmoid_pass(kernels, work[2 * size + n:], at + 16 * size, at + 8 * (2 * size + n),
-                  p + 8 * (topology.n_params - 1), n, 1)  # the output bias is the last parameter
-    return hidden, out, work, at, p
+
+    def __init__(self, topology: Topology, x: np.ndarray, t: np.ndarray):
+        if x.shape[1] != topology.n_in:
+            raise ValueError(f"dataset rows have {x.shape[1]} inputs, network expects {topology.n_in}")
+        n, n_hidden = x.shape[0], topology.n_hidden
+        size = n * n_hidden
+        self.kernels, self.topology, self.x, self.t = _kernels(), topology, x, t
+        self.params = np.empty(topology.n_params)
+        work = np.empty(2 * (size + n))
+        self.hidden = work[:size].reshape(n, n_hidden)
+        self.out = work[2 * size:2 * size + n].reshape(n, 1)
+        self.d_hid, self.d_out = work[size:2 * size].reshape(n, n_hidden), work[2 * size + n:].reshape(n, 1)
+        w1, _, w2, _ = unpack_params(topology, self.params)
+        self.w1_t, self.w2_t = w1.T, w2.T
+        at, p = work.ctypes.data, self.params.ctypes.data
+        # _sigmoid_pass's arguments for each layer; the output bias is the last parameter.
+        self.hidden_layer = (work[size:2 * size], at, at + 8 * size, p + 8 * w1.size, n, n_hidden)
+        self.out_layer = (work[2 * size + n:], at + 16 * size, at + 8 * (2 * size + n),
+                          p + 8 * (topology.n_params - 1), n, 1)
+        # hidden_delta's: d_hid, d_out, W2 (after W1 and b1 in the flat layout), hidden.
+        self.delta = (at + 8 * size, at + 8 * (2 * size + n), p + 8 * (w1.size + n_hidden), at, n, n_hidden)
+
+    def forward(self, params: np.ndarray) -> None:
+        """Both layers' activations for params, into ``hidden`` and ``out``."""
+        np.copyto(self.params, params)
+        np.matmul(self.x, self.w1_t, out=self.hidden)
+        _sigmoid_pass(self.kernels, *self.hidden_layer)
+        np.matmul(self.hidden, self.w2_t, out=self.out)
+        _sigmoid_pass(self.kernels, *self.out_layer)
+
+    def loss(self, params: np.ndarray) -> float:
+        self.forward(params)
+        r = self.out[:, 0] - self.t
+        r *= r
+        return float(np.add.reduce(r) / r.size)  # np.mean's float64 sum and division
+
+    def loss_and_grad(self, params: np.ndarray):
+        self.forward(params)
+        hidden, out, d_hid, d_out = self.hidden, self.out, self.d_hid, self.d_out
+        resid = out[:, 0] - self.t
+        n = resid.size
+        loss = float(np.add.reduce(resid * resid) / n)  # np.mean's float64 sum and division
+
+        # The textbook products in their textbook order, written into the
+        # workspace's spare blocks: d_out = 2/n * resid * out * (1 - out) and
+        # d_hid = (d_out W2) * hidden * (1 - hidden); with one output unit d_out W2
+        # is the broadcast d_out * W2, each entry one rounded product either way.
+        np.multiply(2.0 / n, resid[:, None], out=d_out)
+        d_out *= out
+        np.subtract(1.0, out, out=out)
+        d_out *= out
+        grad = np.empty(self.params.size)
+        gw1, gb1, gw2, gb2 = unpack_params(self.topology, grad)
+        gw2[:] = d_out.T @ hidden
+        gb2[:] = d_out.sum(axis=0)
+        self.kernels.hidden_delta(*self.delta)
+        gw1[:] = d_hid.T @ self.x
+        gb1[:] = d_hid.sum(axis=0)  # numpy's order, row by row for n_hidden >= 2 but pairwise for n_hidden = 1
+        return loss, grad
 
 
 def loss_mse(net: Network, data: Dataset, rows: str = "train") -> float:
     """Mean squared error against normalized targets on the selected rows."""
-    _check_net_vs_data(net, data)
-    x, t = data.rows(rows)
-    out = _forward_batch(net.topology, net.params, x)[1]
-    r = out[:, 0] - t
-    r *= r
-    return float(np.add.reduce(r) / r.size)  # np.mean's float64 sum and division
+    return data._pass(rows, net.topology).loss(net.params)
 
 
 def loss_and_grad(net: Network, data: Dataset, rows: str = "train"):
     """MSE and its gradient from one shared forward pass."""
-    _check_net_vs_data(net, data)
-    x, t = data.rows(rows)
-    topo = net.topology
-    hidden, out, work, at, p = _forward_batch(topo, net.params, x)
-    resid = out[:, 0] - t
-    n, n_hidden = hidden.shape
-    loss = float(np.add.reduce(resid * resid) / n)  # np.mean's float64 sum and division
-
-    # The textbook products in their textbook order, written into the
-    # workspace's spare blocks: d_out = 2/n * resid * out * (1 - out) and
-    # d_hid = (d_out W2) * hidden * (1 - hidden); with one output unit d_out W2
-    # is the broadcast d_out * W2, each entry one rounded product either way.
-    size = n * n_hidden
-    d_hid = work[size:2 * size].reshape(n, n_hidden)
-    d_out = work[2 * size + n:].reshape(n, 1)
-    np.multiply(2.0 / n, resid[:, None], out=d_out)
-    d_out *= out
-    np.subtract(1.0, out, out=out)
-    d_out *= out
-    grad = np.empty_like(net.params)
-    gw1, gb1, gw2, gb2 = unpack_params(topo, grad)
-    gw2[:] = d_out.T @ hidden
-    gb2[:] = d_out.sum(axis=0)
-    w2_at = p + 8 * (gw1.size + n_hidden)  # W2 follows W1 and b1 in the flat layout
-    _kernels().hidden_delta(at + 8 * size, at + 8 * (2 * size + n), w2_at, at, n, n_hidden)
-    gw1[:] = d_hid.T @ x
-    gb1[:] = d_hid.sum(axis=0)  # numpy's order, row by row for n_hidden >= 2 but pairwise for n_hidden = 1
-    return loss, grad
+    return data._pass(rows, net.topology).loss_and_grad(net.params)
 
 
 def grad_backprop(net: Network, data: Dataset, rows: str = "train") -> np.ndarray:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 # loss_mse is unused here; perfbench/tracer.py still lists qnmlp.optim.loss_mse as a seam site.
-from .mlp import Dataset, KernelBuildError, Network, _kernels, loss_and_grad, loss_mse
+from .mlp import Dataset, KernelBuildError, Network, _kernels, _store_count, _Unchecked, loss_and_grad, loss_mse
 
 __all__ = [
     "STATUS_CONVERGED_GRAD",
@@ -119,7 +119,7 @@ class GdConfig:
     def __post_init__(self):
         if not (self.eta > 0 and np.isfinite(self.eta)):
             raise ValueError(f"eta must be positive and finite, got {self.eta}")
-        if self.epochs < 1:
+        if _store_count(self, "epochs") < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
 
 
@@ -147,7 +147,7 @@ class StopCriteria:
     def __post_init__(self):
         if not self.grad_tol >= 0:
             raise ValueError(f"gradient tolerance must be >= 0, got grad_tol={self.grad_tol}")
-        if self.max_iters < 1:
+        if _store_count(self, "max_iters") < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
 
 
@@ -209,7 +209,9 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
     starts at alpha = 1 and doubles up to ``ALPHA_MAX``. Raises
     NotDescentError (a ValueError) if g0.p is not negative, NaN included,
     and LineSearchError when the bracket reaches the cap or the zoom runs
-    out of its ``MAX_ZOOM_STEPS`` trials.
+    out of its ``MAX_ZOOM_STEPS`` trials. A trial point that is not finite
+    is a failed trial: the objective never sees it, and evals does not count
+    it (an overflowed weight would saturate the sigmoid to a finite loss).
     """
     d0 = linalg.dot(g0, p)
     if not d0 < 0:
@@ -220,7 +222,10 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
 
     def trial_eval(alpha: float):
         nonlocal evals
-        f, g = obj.eval(x + alpha * p)
+        trial = x + alpha * p
+        if not np.isfinite(trial).all():
+            return np.nan, None, np.nan  # fails sufficient(), which is tested before g or its slope
+        f, g = obj.eval(trial)
         evals += 1
         if np.isfinite(f) and f < best[1]:
             best[:] = [alpha, f, g]
@@ -441,8 +446,10 @@ def bfgs_train(net: Network, data: Dataset, stop: StopCriteria = StopCriteria(),
     are passed to ``bfgs_minimize``.
     """
 
-    def fun(params):
-        return loss_and_grad(net.with_params(params), data, "train")
+    topology = net.topology
+
+    def fun(params):  # params is a finite trial point that the search has just made
+        return loss_and_grad(_Unchecked(topology, params), data, "train")
 
     result = bfgs_minimize(Objective(fun, net.topology.n_params), net.params, stop, wolfe,
                            callback=callback, step_observer=step_observer)

@@ -246,6 +246,13 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match="seed"):
             self.small_cfg(seed=-1)
 
+    @pytest.mark.parametrize("field, value", [("n_samples", 100.5), ("hidden", 2.5), ("seed", 1.5)])
+    def test_counts_are_integers(self, field, value):
+        # Each of these used to construct and fail later inside numpy with a bare TypeError.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            self.small_cfg(**{field: value})
+        assert type(getattr(self.small_cfg(**{field: np.int64(12)}), field)) is int
+
 
 COMPARE_CFG = BenchConfig(BOOTH, n_samples=150, seed=42, gd=GdConfig(eta=0.1, epochs=120),
                           stop=StopCriteria(grad_tol=1e-5, max_iters=150))

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -17,7 +19,7 @@ from qnmlp import (
     sigmoid,
     unpack_params,
 )
-from qnmlp.mlp import _forward_batch, relative_error
+from qnmlp.mlp import _Pass, relative_error
 
 
 def make_dataset(rng, n_rows, n_in, split_index):
@@ -72,6 +74,14 @@ class TestTopology:
     def test_rejects_empty_layers(self, bad):
         with pytest.raises(ValueError):
             Topology(*bad)
+
+    @pytest.mark.parametrize("field, value", [("n_in", 2.0), ("n_hidden", 2.5), ("n_out", "1")])
+    def test_counts_are_integers(self, field, value):
+        counts = {"n_in": 2, "n_hidden": 3, "n_out": 1, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            Topology(**counts)
+        t = Topology(np.int64(2), np.int32(3))
+        assert type(t.n_in) is int and type(t.n_hidden) is int and t.n_params == 13
 
 
 class TestInitParams:
@@ -189,8 +199,12 @@ class TestSigmoid:
 
 
 def forward_rows(topology, params, rows):
-    """``_forward_batch``'s (hidden, out) over the given rows, from a flat parameter vector."""
-    return _forward_batch(topology, np.asarray(params, dtype=float), np.atleast_2d(np.asarray(rows, dtype=float)))[:2]
+    """The forward pass's (hidden, out) over the given rows, from a flat parameter
+    vector, copied out of the pass's workspace."""
+    x = np.atleast_2d(np.asarray(rows, dtype=float))
+    forward = _Pass(topology, x, np.zeros(x.shape[0]))
+    forward.forward(np.asarray(params, dtype=float))
+    return forward.hidden.copy(), forward.out.copy()
 
 
 class TestForward:
@@ -245,6 +259,11 @@ class TestDataset:
         data = make_dataset(np.random.default_rng(0), 5, 2, 3)
         with pytest.raises(ValueError):
             data.rows("validation")
+
+    def test_split_index_is_an_integer(self):
+        with pytest.raises(ValueError, match="split_index must be an integer"):
+            constant_target_dataset(1, [0.5, 0.5, 0.5], 1.5)
+        assert type(constant_target_dataset(1, [0.5, 0.5, 0.5], np.int64(2)).split_index) is int
 
     def test_arrays_read_only(self):
         data = make_dataset(np.random.default_rng(0), 5, 2, 3)
@@ -434,6 +453,43 @@ class TestKernelBits:
             assert np.array_equal(loss, ref_loss, equal_nan=True)
             assert np.array_equal(grad, ref_grad, equal_nan=True)
             assert np.array_equal(loss_only, ref_loss, equal_nan=True)
+
+    def test_reused_workspace_leaks_nothing(self):
+        # One dataset keeps one pass per (partition, topology) and reuses it;
+        # interleaved calls over two parameter vectors, both partitions and two
+        # widths must each give the bits of the same call on a fresh dataset.
+        rng = np.random.default_rng(21)
+        data = make_dataset(rng, 13, 2, 9)
+        nets = []
+        for hidden in (3, 7):
+            t = Topology(2, hidden, 1)
+            nets += [Network(t, rng.uniform(-3.0, 3.0, t.n_params)) for _ in range(2)]
+        for _ in range(2):
+            for net in nets:
+                for rows in ("train", "test"):
+                    for loss in (loss_and_grad, loss_mse):
+                        fresh = Dataset(data.inputs, data.targets_norm, data.split_index)
+                        got, want = loss(net, data, rows), loss(net, fresh, rows)
+                        if loss is loss_mse:
+                            assert got == want
+                        else:
+                            assert got[0] == want[0] and np.array_equal(got[1], want[1])
+        assert len(data._passes) == 4
+        assert data._pass("train", Topology(2, 3, 1)) is data._pass("train", Topology(2, 3, 1))
+
+    @pytest.mark.parametrize("duplicate", [copy.copy, copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_copied_dataset_makes_its_own_passes(self, duplicate):
+        # A pass holds its workspace's addresses, so a copy must not inherit them.
+        rng = np.random.default_rng(5)
+        data = make_dataset(rng, 8, 2, 6)
+        net = Network(Topology(2, 4, 1), rng.uniform(-1.0, 1.0, 17))
+        before = loss_and_grad(net, data)
+        twin = duplicate(data)
+        assert twin._passes == {}
+        after = loss_and_grad(net, twin)
+        assert after[0] == before[0] and np.array_equal(after[1], before[1])
+        assert twin._pass("train", net.topology) is not data._pass("train", net.topology)
 
     def test_loss_and_grad_temporaries_bounded(self):
         # Deterministic memory gate: the peak traced allocation of one call at

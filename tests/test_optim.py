@@ -86,6 +86,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             WolfeConfig(c2=1.0)
 
+    @pytest.mark.parametrize("config, field", [(GdConfig, "epochs"), (StopCriteria, "max_iters")])
+    def test_counts_are_integers(self, config, field):
+        # A float count used to construct: epochs=2.5 failed later in range(),
+        # and max_iters=2.5 ran 3 iterations.
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            config(**{field: 2.5})
+        stored = getattr(config(**{field: np.int64(3)}), field)
+        assert type(stored) is int and stored == 3
+
     def test_stop_criteria_bounds(self):
         with pytest.raises(ValueError):
             StopCriteria(max_iters=0)
@@ -134,6 +143,26 @@ class TestWolfeLineSearch:
         p = -g0
         alpha, _, _, _ = wolfe_line_search(obj, x0, p, f0, g0, cfg)
         assert_strong_wolfe(obj, x0, p, f0, g0, alpha, cfg)
+
+    def test_non_finite_trial_is_not_evaluated(self):
+        # x + 1 * p overflows to inf. A Network used to refuse such a point with a
+        # ValueError; an overflowed weight would instead saturate the sigmoid to a
+        # finite loss. The search must fail that trial without calling the objective.
+        seen = []
+
+        def fun(x):
+            seen.append(x.copy())
+            if not np.isfinite(x).all():
+                raise ValueError("parameters must all be finite")
+            return 0.0, np.array([-1.0])
+
+        x, p = np.array([1e308]), np.array([1e308])
+        with pytest.raises(LineSearchError) as failure, np.errstate(over="ignore"):
+            wolfe_line_search(Objective(fun, 1), x, p, 0.0, np.array([-1.0]), WolfeConfig())
+        assert all(np.isfinite(point).all() for point in seen)
+        # Every zoom trial between 0 and the failed unit step is evaluated and counted.
+        assert failure.value.evals == len(seen) == optim.MAX_ZOOM_STEPS
+        assert failure.value.alpha == 0.0
 
     def test_unbounded_linear_descent_fails(self):
         # f(x) = -x has constant slope: the curvature condition can never hold
@@ -910,15 +939,27 @@ class TestBfgsTrain:
         net, _ = tiny_training_setup(seed=3)
         rng = np.random.default_rng(3)
         inputs = rng.uniform(-1.0, 1.0, size=(5, 2))
-        from qnmlp.mlp import _forward_batch
+        from qnmlp.mlp import _Pass
 
-        outs = _forward_batch(net.topology, net.params, inputs)[1]
-        data = Dataset(inputs, outs[:, 0], 4)
+        forward = _Pass(net.topology, inputs, np.zeros(5))
+        forward.forward(net.params)
+        data = Dataset(inputs, forward.out[:, 0].copy(), 4)
         trained, res = bfgs_train(net, data)
         assert res.iters == 0
         assert res.status == STATUS_CONVERGED_GRAD
         assert res.grad_norm_final == 0.0
         assert np.array_equal(trained.params, net.params)
+
+    def test_no_network_per_objective_call(self, monkeypatch):
+        # The objective scores each trial without building a Network; only the
+        # trained network is one. The loss still goes through optim.loss_and_grad.
+        built, scored = [], []
+        with_params = Network.with_params
+        monkeypatch.setattr(Network, "with_params", lambda net, p: built.append(1) or with_params(net, p))
+        monkeypatch.setattr(optim, "loss_and_grad", lambda *a: scored.append(1) or loss_and_grad(*a))
+        net, data = tiny_training_setup(seed=5, rows=12)
+        _, res = bfgs_train(net, data, StopCriteria(max_iters=20))
+        assert len(built) == 1 and len(scored) == res.n_fevals > res.iters > 0
 
     def test_monotone_loss_history(self):
         net, data = tiny_training_setup(seed=4, rows=12)
