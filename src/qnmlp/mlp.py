@@ -236,10 +236,10 @@ def normalize_targets(raw):
     return NORM_LO + (r - lo) * ((NORM_HI - NORM_LO) / (hi - lo))
 
 
-def _sigmoid_pass(kernels, t: np.ndarray, z_at: int, t_at: int, b_at: int, rows: int, cols: int) -> None:
+def _sigmoid_pass(kernels, t: np.ndarray, z_at: int, t_at: int, b_at, rows: int, cols: int) -> None:
     """Overwrite the C-contiguous rows x cols float64 block at address z_at with
-    sigmoid(z + b), b the cols float64 values at b_at; t, at t_at, is a block of
-    the same size that ends holding exp(-|z + b|).
+    sigmoid(z + b), b the cols float64 values at b_at (an address or a byref);
+    t, at t_at, is a block of the same size that ends holding exp(-|z + b|).
 
     With e = exp(-|z|) this is 1 / (1 + e) where z >= 0 and e / (1 + e)
     elsewhere, so exp never overflows. The two passes around numpy's exp are C.
@@ -252,10 +252,9 @@ def _sigmoid_pass(kernels, t: np.ndarray, z_at: int, t_at: int, b_at: int, rows:
 def sigmoid(x):
     """Logistic function, overflow-safe for large |x|. Works elementwise."""
     x = np.array(x, dtype=np.float64, order="C")
-    size = x.size
-    work = np.zeros(2 * size)  # exp's argument, then a zero bias (z + 0.0 keeps |z| and z >= 0)
-    at = work.ctypes.data
-    _sigmoid_pass(_kernels(), work[:size], x.ctypes.data, at, at + 8 * size, 1, size)  # x is a fresh copy
+    # x is a fresh copy, taken as a column; byref(zero) is cheaper than a third ctypes.data read.
+    work, zero = np.empty(x.size), ctypes.c_double()  # exp's argument; one zero bias: z + 0.0 keeps |z| and z >= 0
+    _sigmoid_pass(_kernels(), work, x.ctypes.data, work.ctypes.data, ctypes.byref(zero), x.size, 1)
     return float(x) if x.ndim == 0 else x
 
 
@@ -263,34 +262,29 @@ class _Pass:
     """The forward and backward pass over rows x with targets t, for one topology.
 
     ``Dataset._pass`` builds one per partition and topology, at first use.
-    It allocates the workspace [hidden | n x n_hidden spare | out | n spare]
-    and a parameter buffer once, and reads their addresses once
-    (``ndarray.ctypes.data`` costs about a microsecond). Each call copies its
-    parameters into the buffer and overwrites the whole workspace before
-    reading it, so no call sees another's values; the spare blocks take exp's
-    argument and then the deltas. Two threads must not share one pass.
+    It allocates a parameter buffer and four blocks once, the activations
+    ``hidden`` and ``out`` and the deltas ``d_hid`` and ``d_out``, and reads
+    their addresses once (``ndarray.ctypes.data`` costs about a microsecond).
+    Each call copies its parameters into the buffer and overwrites all four
+    blocks before reading them, so no call sees another's values; the delta
+    blocks take exp's argument first. Two threads must not share one pass.
     """
 
     def __init__(self, topology: Topology, x: np.ndarray, t: np.ndarray):
         if x.shape[1] != topology.n_in:
             raise ValueError(f"dataset rows have {x.shape[1]} inputs, network expects {topology.n_in}")
         n, n_hidden = x.shape[0], topology.n_hidden
-        size = n * n_hidden
         self.kernels, self.topology, self.x, self.t = _kernels(), topology, x, t
         self.params = np.empty(topology.n_params)
-        work = np.empty(2 * (size + n))
-        self.hidden = work[:size].reshape(n, n_hidden)
-        self.out = work[2 * size:2 * size + n].reshape(n, 1)
-        self.d_hid, self.d_out = work[size:2 * size].reshape(n, n_hidden), work[2 * size + n:].reshape(n, 1)
-        w1, _, w2, _ = unpack_params(topology, self.params)
+        self.hidden, self.d_hid = np.empty((n, n_hidden)), np.empty((n, n_hidden))
+        self.out, self.d_out = np.empty((n, 1)), np.empty((n, 1))
+        w1, b1, w2, b2 = unpack_params(topology, self.params)
         self.w1_t, self.w2_t = w1.T, w2.T
-        at, p = work.ctypes.data, self.params.ctypes.data
-        # _sigmoid_pass's arguments for each layer; the output bias is the last parameter.
-        self.hidden_layer = (work[size:2 * size], at, at + 8 * size, p + 8 * w1.size, n, n_hidden)
-        self.out_layer = (work[2 * size + n:], at + 16 * size, at + 8 * (2 * size + n),
-                          p + 8 * (topology.n_params - 1), n, 1)
-        # hidden_delta's: d_hid, d_out, W2 (after W1 and b1 in the flat layout), hidden.
-        self.delta = (at + 8 * size, at + 8 * (2 * size + n), p + 8 * (w1.size + n_hidden), at, n, n_hidden)
+        hid_at, d_hid_at, out_at, d_out_at = (a.ctypes.data for a in (self.hidden, self.d_hid, self.out, self.d_out))
+        # _sigmoid_pass's arguments for each layer, then hidden_delta's.
+        self.hidden_layer = (self.d_hid, hid_at, d_hid_at, b1.ctypes.data, n, n_hidden)
+        self.out_layer = (self.d_out, out_at, d_out_at, b2.ctypes.data, n, 1)
+        self.delta = (d_hid_at, d_out_at, w2.ctypes.data, hid_at, n, n_hidden)
 
     def forward(self, params: np.ndarray) -> None:
         """Both layers' activations for params, into ``hidden`` and ``out``."""
@@ -314,7 +308,7 @@ class _Pass:
         loss = float(np.add.reduce(resid * resid) / n)  # np.mean's float64 sum and division
 
         # The textbook products in their textbook order, written into the
-        # workspace's spare blocks: d_out = 2/n * resid * out * (1 - out) and
+        # delta blocks: d_out = 2/n * resid * out * (1 - out) and
         # d_hid = (d_out W2) * hidden * (1 - hidden); with one output unit d_out W2
         # is the broadcast d_out * W2, each entry one rounded product either way.
         np.multiply(2.0 / n, resid[:, None], out=d_out)

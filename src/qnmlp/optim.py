@@ -522,36 +522,32 @@ def gd_train(net: Network, data: Dataset, cfg: GdConfig = GdConfig(), callback=N
     from BLAS's, so the two agree to within a bound (the tests hold them
     to 1e-12 relative; the measured drift is about 1e-15), not exactly.
     ``callback(epoch, params, f, grad_norm)`` fires once per iterate, as in
-    ``bfgs_minimize``: at the start and after each epoch, with the
-    full-train MSE. A non-finite loss or parameter ends the run early with
-    status ``diverged`` and the last finite epoch.
+    ``bfgs_minimize``: at the start and after each epoch, with its frozen
+    vector and full-train MSE. A non-finite loss or parameter ends the run
+    early with status ``diverged`` and the last finite epoch.
     """
-    params = np.array(net.params)
-    x_train, targets = data.rows("train")
-    rows, targets = x_train.tolist(), targets.tolist()
+    topology = net.topology
+    rows, targets = (a.tolist() for a in data.rows("train"))
     f, grad = loss_and_grad(net, data, "train")  # checks the data's width against the network first
-    sweep = _epoch_function(net.topology.n_in, net.topology.n_hidden)
-    n_fevals = 1
-    trained = net  # the network of the last recorded epoch
-    status = STATUS_MAX_ITERS
+    sweep = _epoch_function(topology.n_in, topology.n_hidden)
+    params, n_fevals, status = net.params, 1, STATUS_MAX_ITERS
     for epoch in range(cfg.epochs + 1):
-        if epoch > 0:
-            params[:] = sweep(params.tolist(), rows, targets, cfg.eta)
-            diverged = not np.all(np.isfinite(params))
-            if not diverged:
-                current = net.with_params(params)
-                f, grad = loss_and_grad(current, data, "train")
-                n_fevals += 1
-                diverged = not np.isfinite(f)
-            if diverged:
-                status = STATUS_DIVERGED
-                break
-            trained = current
+        # Record the iterate: the start or a finite epoch.
         grad_norm = np.linalg.norm(grad)
-        last = (epoch, f, grad_norm)  # diverging overwrites f, so the result reads this
         if callback is not None:
-            callback(epoch, trained.params, f, grad_norm)
+            callback(epoch, params, f, grad_norm)
+        if epoch == cfg.epochs:
+            break
+        swept = np.array(sweep(params.tolist(), rows, targets, cfg.eta))
+        swept.setflags(write=False)
+        if np.all(np.isfinite(swept)):  # checked once, here: the loss pass trusts it
+            f_swept, g_swept = loss_and_grad(_Unchecked(topology, swept), data, "train")
+            n_fevals += 1
+            if np.isfinite(f_swept):
+                params, f, grad = swept, f_swept, g_swept
+                continue
+        status = STATUS_DIVERGED
+        break
 
-    iters, f, grad_norm = last
-    return trained, MinimizeResult(x_final=trained.params, f_final=f, grad_norm_final=grad_norm,
-                                   iters=iters, status=status, n_fevals=n_fevals)
+    return net.with_params(params), MinimizeResult(x_final=params, f_final=f, grad_norm_final=grad_norm,
+                                                   iters=epoch, status=status, n_fevals=n_fevals)

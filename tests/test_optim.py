@@ -887,6 +887,17 @@ class TestGdTrain:
         assert res.n_fevals == 5  # one loss_and_grad call at the start and one per epoch
         assert [entry[0] for entry in seen] == [0, 1, 2, 3, 4]
 
+    def test_one_network_per_fit(self, monkeypatch):
+        # Each epoch's vector is scored without building a Network; only the
+        # trained network is one. The loss still goes through optim.loss_and_grad.
+        built, scored = [], []
+        with_params = Network.with_params
+        monkeypatch.setattr(Network, "with_params", lambda net, p: built.append(1) or with_params(net, p))
+        monkeypatch.setattr(optim, "loss_and_grad", lambda *a: scored.append(1) or loss_and_grad(*a))
+        net, data = tiny_training_setup()
+        _, res = gd_train(net, data, GdConfig(eta=0.1, epochs=5))
+        assert len(built) == 1 and len(scored) == res.n_fevals == 6
+
     def test_deterministic(self):
         net, data = tiny_training_setup(seed=2)
         (seen1, callback1), (seen2, callback2) = recorder(), recorder()
