@@ -10,13 +10,14 @@ weights so the two reports differ only in the optimizer.
 from __future__ import annotations
 
 import hashlib
+import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
-from .mlp import Dataset, Network, Topology, _store_count, _Unchecked, init_params, loss_mse
+from .mlp import Dataset, Network, Topology, _Pass, _store_count, _Unchecked, init_params, loss_mse
 from .optim import (
     GdConfig,
     Objective,
@@ -132,11 +133,27 @@ class BenchConfig:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValueError(f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        _split_index(self.n_samples, self.train_fraction)
+        split_index = _split_index(self.n_samples, self.train_fraction)
         if self.hidden < 1:
             raise ValueError(f"hidden must be >= 1, got {self.hidden}")
         if self.optimizer not in ("gd", "bfgs"):
             raise ValueError(f"optimizer must be 'gd' or 'bfgs', got {self.optimizer!r}")
+        # The run's largest arrays, counted in Python integers before any is allocated: the
+        # dataset (two inputs and a target per row), each partition's loss workspace and
+        # BFGS's inverse Hessian.
+        topology = Topology(2, self.hidden)
+        needed = (24 * self.n_samples + _Pass.nbytes(topology, split_index)
+                  + _Pass.nbytes(topology, self.n_samples - split_index)
+                  + (8 * topology.n_params**2 if self.optimizer == "bfgs" else 0))
+        available = _physical_memory()
+        if needed > available:
+            raise ValueError(f"this run needs {needed} bytes for its largest arrays, "
+                             f"more than the {available} bytes of physical memory")
+
+
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 @dataclass
@@ -231,6 +248,6 @@ def run_comparison(function: BenchFunction, seed: int, **settings):
     second. Returns (gd_report, bfgs_report).
     """
     cfg = BenchConfig(function, seed=seed, **settings)
+    fits = [replace(cfg, optimizer=optimizer) for optimizer in ("gd", "bfgs")]  # both checked before any fit
     data, net0 = _setup(cfg)
-    return (_train_and_report(net0, data, replace(cfg, optimizer="gd")),
-            _train_and_report(net0, data, replace(cfg, optimizer="bfgs")))
+    return tuple(_train_and_report(net0, data, fit) for fit in fits)

@@ -257,7 +257,7 @@ def cmd_bench(args) -> int:
 
 def cmd_compare(args) -> int:
     options = _resolve_options(args, required=("function",), refused=("optimizer",))
-    cfg = _bench_config(options, "gd", options["function"])
+    cfg = _bench_config(options, "bfgs", options["function"])  # so the memory check counts BFGS's inverse Hessian
     _check_out(options)
     gd_report, bfgs_report = run_comparison(**vars(cfg))
     rows = [("gd", gd_report), ("bfgs", bfgs_report)]

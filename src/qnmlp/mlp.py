@@ -52,7 +52,8 @@ _KERNEL_SIGNATURES = {  # name -> argument types; every kernel returns nothing
     "rank_two_update": (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p),
     "sigmoid_begin": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t),
     "sigmoid_end": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t),
-    "hidden_delta": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    "output_delta": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t),
+    "hidden_delta": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
                      ctypes.c_ssize_t, ctypes.c_ssize_t),
 }
 
@@ -262,12 +263,13 @@ class _Pass:
     """The forward and backward pass over rows x with targets t, for one topology.
 
     ``Dataset._pass`` builds one per partition and topology, at first use.
-    It allocates a parameter buffer and four blocks once, the activations
-    ``hidden`` and ``out`` and the deltas ``d_hid`` and ``d_out``, and reads
-    their addresses once (``ndarray.ctypes.data`` costs about a microsecond).
-    Each call copies its parameters into the buffer and overwrites all four
-    blocks before reading them, so no call sees another's values; the delta
-    blocks take exp's argument first. Two threads must not share one pass.
+    It allocates a parameter buffer, a gradient buffer and four blocks once,
+    the activations ``hidden`` and ``out`` and the deltas ``d_hid`` and
+    ``d_out``, and reads their addresses once (``ndarray.ctypes.data`` costs
+    about a microsecond). Each call copies its parameters into the buffer and
+    overwrites all four blocks before reading them, so no call sees another's
+    values; the delta blocks take exp's argument first, and ``out`` ends
+    holding the squared residuals. Two threads must not share one pass.
     """
 
     def __init__(self, topology: Topology, x: np.ndarray, t: np.ndarray):
@@ -275,16 +277,24 @@ class _Pass:
             raise ValueError(f"dataset rows have {x.shape[1]} inputs, network expects {topology.n_in}")
         n, n_hidden = x.shape[0], topology.n_hidden
         self.kernels, self.topology, self.x, self.t = _kernels(), topology, x, t
-        self.params = np.empty(topology.n_params)
+        self.params, self.grad = np.empty(topology.n_params), np.empty(topology.n_params)
         self.hidden, self.d_hid = np.empty((n, n_hidden)), np.empty((n, n_hidden))
         self.out, self.d_out = np.empty((n, 1)), np.empty((n, 1))
         w1, b1, w2, b2 = unpack_params(topology, self.params)
         self.w1_t, self.w2_t = w1.T, w2.T
+        self.gw1, self.gb1, self.gw2, self.gb2 = unpack_params(topology, self.grad)
+        self.d_hid_t, self.d_out_t, self.squares = self.d_hid.T, self.d_out.T, self.out[:, 0]
         hid_at, d_hid_at, out_at, d_out_at = (a.ctypes.data for a in (self.hidden, self.d_hid, self.out, self.d_out))
-        # _sigmoid_pass's arguments for each layer, then hidden_delta's.
+        # _sigmoid_pass's arguments for each layer, then output_delta's and hidden_delta's.
         self.hidden_layer = (self.d_hid, hid_at, d_hid_at, b1.ctypes.data, n, n_hidden)
         self.out_layer = (self.d_out, out_at, d_out_at, b2.ctypes.data, n, 1)
-        self.delta = (d_hid_at, d_out_at, w2.ctypes.data, hid_at, n, n_hidden)
+        self.out_delta = (d_out_at, out_at, t.ctypes.data, n)
+        self.hid_delta = (d_hid_at, self.gb1.ctypes.data, d_out_at, w2.ctypes.data, hid_at, n, n_hidden)
+
+    @staticmethod
+    def nbytes(topology: Topology, rows: int) -> int:
+        """Bytes that a pass over rows rows allocates: two vectors of n_params and four blocks."""
+        return 8 * (2 * topology.n_params + 2 * rows * (topology.n_hidden + 1))
 
     def forward(self, params: np.ndarray) -> None:
         """Both layers' activations for params, into ``hidden`` and ``out``."""
@@ -301,28 +311,20 @@ class _Pass:
         return float(np.add.reduce(r) / r.size)  # np.mean's float64 sum and division
 
     def loss_and_grad(self, params: np.ndarray):
+        # The textbook products in their textbook order, each entry one rounded
+        # product: d_out = 2/n * resid * out * (1 - out) and d_hid = (d_out W2) *
+        # hidden * (1 - hidden), where with one output unit d_out W2 is the broadcast
+        # d_out * W2. The kernels also leave resid**2 in out and sum d_hid's columns.
         self.forward(params)
-        hidden, out, d_hid, d_out = self.hidden, self.out, self.d_hid, self.d_out
-        resid = out[:, 0] - self.t
-        n = resid.size
-        loss = float(np.add.reduce(resid * resid) / n)  # np.mean's float64 sum and division
-
-        # The textbook products in their textbook order, written into the
-        # delta blocks: d_out = 2/n * resid * out * (1 - out) and
-        # d_hid = (d_out W2) * hidden * (1 - hidden); with one output unit d_out W2
-        # is the broadcast d_out * W2, each entry one rounded product either way.
-        np.multiply(2.0 / n, resid[:, None], out=d_out)
-        d_out *= out
-        np.subtract(1.0, out, out=out)
-        d_out *= out
-        grad = np.empty(self.params.size)
-        gw1, gb1, gw2, gb2 = unpack_params(self.topology, grad)
-        gw2[:] = d_out.T @ hidden
-        gb2[:] = d_out.sum(axis=0)
-        self.kernels.hidden_delta(*self.delta)
-        gw1[:] = d_hid.T @ self.x
-        gb1[:] = d_hid.sum(axis=0)  # numpy's order, row by row for n_hidden >= 2 but pairwise for n_hidden = 1
-        return loss, grad
+        self.kernels.output_delta(*self.out_delta)
+        loss = float(np.add.reduce(self.squares) / self.squares.size)  # np.mean's float64 sum and division
+        np.matmul(self.d_out_t, self.hidden, out=self.gw2)
+        np.add.reduce(self.d_out, axis=0, out=self.gb2)
+        self.kernels.hidden_delta(*self.hid_delta)
+        np.matmul(self.d_hid_t, self.x, out=self.gw1)
+        if self.topology.n_hidden == 1:  # numpy sums a single column pairwise, not row by row
+            np.add.reduce(self.d_hid, axis=0, out=self.gb1)
+        return loss, self.grad.copy()
 
 
 def loss_mse(net: Network, data: Dataset, rows: str = "train") -> float:

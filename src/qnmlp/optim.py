@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import exp
+from math import exp, isfinite
 from typing import Callable
 
 import numpy as np
@@ -191,11 +191,11 @@ def _quadratic_trial(lo: float, f_lo: float, d_lo: float, hi: float, f_hi: float
     width = hi - lo
     mid = lo + 0.5 * width
     denom = 2.0 * (f_hi - f_lo - d_lo * width)
-    if denom == 0.0 or not np.isfinite(denom):
+    if denom == 0.0 or not isfinite(denom):
         return mid
     trial = lo - d_lo * width * width / denom
     t = (trial - lo) / width
-    if not np.isfinite(t) or not 0.1 <= t <= 0.9:
+    if not isfinite(t) or not 0.1 <= t <= 0.9:
         return mid
     return trial
 
@@ -227,12 +227,12 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
             return np.nan, None, np.nan  # fails sufficient(), which is tested before g or its slope
         f, g = obj.eval(trial)
         evals += 1
-        if np.isfinite(f) and f < best[1]:
+        if isfinite(f) and f < best[1]:
             best[:] = [alpha, f, g]
         return f, g, linalg.dot(g, p)
 
     def sufficient(alpha: float, f: float) -> bool:
-        return np.isfinite(f) and f <= f0 + cfg.c1 * alpha * d0
+        return isfinite(f) and f <= f0 + cfg.c1 * alpha * d0
 
     def curvature(d: float) -> bool:
         return abs(d) <= cfg.c2 * abs(d0)

@@ -25,6 +25,7 @@ from qnmlp import (
     run_comparison,
     sample_dataset,
 )
+from qnmlp import bench
 from qnmlp.bench import _setup, beale_grad, booth_grad
 from qnmlp.mlp import Dataset, normalize_targets
 
@@ -252,6 +253,37 @@ class TestRunBenchmark:
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             self.small_cfg(**{field: value})
         assert type(getattr(self.small_cfg(**{field: np.int64(12)}), field)) is int
+
+
+class TestMemoryCheck:
+    """A run whose largest arrays exceed physical memory is refused when its config is
+    made, before anything is allocated; the tests only ever shrink the memory figure."""
+
+    # 100 samples at hidden 10 (41 parameters, 80 train rows): the dataset takes 24 B a
+    # row, a partition's loss workspace 8 (2 * 41 + 2 * rows * 11) B, the inverse Hessian 8 * 41**2 B.
+    GD_BYTES = 2_400 + 14_736 + 4_176
+    BFGS_BYTES = GD_BYTES + 13_448
+
+    def test_unbounded_width_is_refused(self):
+        with pytest.raises(ValueError, match=r"needs \d+ bytes for its largest arrays, more than the \d+ bytes"):
+            BenchConfig(BEALE, hidden=99999999999999999999)
+
+    @pytest.mark.parametrize("optimizer, needed", [("gd", GD_BYTES), ("bfgs", BFGS_BYTES)])
+    def test_counts_dataset_workspaces_and_inverse_hessian(self, monkeypatch, optimizer, needed):
+        monkeypatch.setattr(bench, "_physical_memory", lambda: needed)
+        BenchConfig(BOOTH, n_samples=100, hidden=10, optimizer=optimizer)
+        monkeypatch.setattr(bench, "_physical_memory", lambda: needed - 1)
+        with pytest.raises(ValueError, match=f"needs {needed} bytes .* the {needed - 1} bytes of physical memory"):
+            BenchConfig(BOOTH, n_samples=100, hidden=10, optimizer=optimizer)
+
+    def test_comparison_checks_its_bfgs_fit_before_sampling(self, monkeypatch):
+        def no_sampling(*args):
+            raise AssertionError("sampled before the memory check")
+
+        monkeypatch.setattr(bench, "_physical_memory", lambda: self.GD_BYTES)
+        monkeypatch.setattr(bench, "sample_dataset", no_sampling)
+        with pytest.raises(ValueError, match="physical memory"):
+            run_comparison(BOOTH, seed=1, n_samples=100, hidden=10, optimizer="gd")
 
 
 COMPARE_CFG = BenchConfig(BOOTH, n_samples=150, seed=42, gd=GdConfig(eta=0.1, epochs=120),

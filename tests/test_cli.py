@@ -2,7 +2,7 @@ import csv
 
 import pytest
 
-from qnmlp import BOOTH, BenchConfig, cli
+from qnmlp import BOOTH, BenchConfig, bench, cli
 from qnmlp.cli import COMPARISON_HEADER, HISTORY_HEADER, main
 
 
@@ -382,6 +382,29 @@ class TestUsage:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [["train", "--function", "beale", "--optimizer", "bfgs"],
+                                         ["bench", "--optimizer", "bfgs"], ["compare", "--function", "booth"]],
+                             ids=["train", "bench", "compare"])
+    def test_run_beyond_physical_memory_refused(self, tmp_path, capsys, monkeypatch, command):
+        # SMALL's arrays take 5,472 B without the BFGS inverse Hessian and 9,000 B with it;
+        # the memory figure is shrunk so that only the inverse Hessian does not fit.
+        monkeypatch.setattr(bench, "_physical_memory", lambda: 6_000)
+        out = tmp_path / "run"
+        code = run_cli(command + SMALL + ["--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "error: this run needs 9000 bytes for its largest arrays, more than the 6000 bytes of physical memory\n"
+        assert not out.exists()
+
+    def test_unbounded_width_ends_in_one_error_line(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        code = run_cli(["train", "--function", "beale", "--optimizer", "bfgs",
+                        "--hidden", "99999999999999999999", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: this run needs ") and "physical memory" in err and err.count("\n") == 1
+        assert not out.exists()
 
     def test_bad_numeric_flag_value(self, tmp_path, capsys):
         code = run_cli(["train", "--function", "booth", "--optimizer", "bfgs",

@@ -63,6 +63,19 @@ def reference_loss_and_grad(net, data, rows):
     return loss, grad
 
 
+def assert_reference_bits(net, data, rows):
+    """loss_and_grad and loss_mse give reference_loss_and_grad's bytes, the sign of
+    every zero included (np.array_equal takes -0.0 for +0.0); returns the gradient."""
+    with np.errstate(over="ignore"):
+        ref_loss, ref_grad = reference_loss_and_grad(net, data, rows)
+        loss, grad = loss_and_grad(net, data, rows)
+        loss_only = loss_mse(net, data, rows)
+    assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert np.float64(loss_only).tobytes() == np.float64(ref_loss).tobytes()
+    return grad
+
+
 class TestTopology:
     def test_param_count_2_10_1(self):
         assert Topology(2, 10, 1).n_params == 41
@@ -445,14 +458,41 @@ class TestKernelBits:
             # where IEEE addition gives NaN.
             data = Dataset(data.inputs * scale, data.targets_norm, data.split_index)
         for _ in range(2):
-            net = Network(t, rng.uniform(-scale, scale, t.n_params))
-            with np.errstate(over="ignore"):
-                ref_loss, ref_grad = reference_loss_and_grad(net, data, rows)
-                loss, grad = loss_and_grad(net, data, rows)
-                loss_only = loss_mse(net, data, rows)
-            assert np.array_equal(loss, ref_loss, equal_nan=True)
-            assert np.array_equal(grad, ref_grad, equal_nan=True)
-            assert np.array_equal(loss_only, ref_loss, equal_nan=True)
+            assert_reference_bits(Network(t, rng.uniform(-scale, scale, t.n_params)), data, rows)
+
+    @pytest.mark.parametrize("rows", ["train", "test"])
+    @pytest.mark.parametrize("hidden", [1, 2, 3])
+    def test_saturated_output_sums_negative_zero_deltas_to_positive_zero(self, hidden, rows):
+        # Output bias 1e3 and every output weight negative: the output is exactly 1.0, so
+        # d_out is +0.0 and every hidden delta (+0.0 * w2_j) * h * (1 - h) is -0.0. numpy's
+        # column sums start from +0.0, so the hidden-bias gradient is +0.0, not -0.0.
+        rng = np.random.default_rng(hidden)
+        t = Topology(2, hidden, 1)
+        data = make_dataset(rng, 60, 2, 45)
+        params = rng.uniform(-1.0, 1.0, t.n_params)
+        _, _, w2, b2 = unpack_params(t, params)
+        w2[:] = -rng.uniform(0.1, 1.0, hidden)
+        b2[:] = 1e3
+        grad = assert_reference_bits(Network(t, params), data, rows)
+        gb1 = unpack_params(t, grad)[1]
+        assert np.array_equal(gb1, np.zeros(hidden)) and not np.signbit(gb1).any()
+
+    @pytest.mark.parametrize("rows", ["train", "test"])
+    @pytest.mark.parametrize("hidden", [1, 3, 10])
+    def test_one_row_partition_matches_reference(self, hidden, rows):
+        rng = np.random.default_rng(hidden + 7)
+        t = Topology(2, hidden, 1)
+        data = make_dataset(rng, 9, 2, 1)
+        for scale in (0.5, 30.0, 3000.0):
+            assert_reference_bits(Network(t, rng.uniform(-scale, scale, t.n_params)), data, rows)
+
+    def test_workspace_size_is_what_a_pass_allocates(self):
+        # BenchConfig's memory check counts a pass's arrays through _Pass.nbytes.
+        t = Topology(2, 7, 1)
+        data = make_dataset(np.random.default_rng(3), 30, 2, 23)
+        found = data._pass("train", t)
+        arrays = (found.params, found.grad, found.hidden, found.d_hid, found.out, found.d_out)
+        assert sum(a.nbytes for a in arrays) == _Pass.nbytes(t, 23)
 
     def test_reused_workspace_leaks_nothing(self):
         # One dataset keeps one pass per (partition, topology) and reuses it;
