@@ -248,6 +248,6 @@ def run_comparison(function: BenchFunction, seed: int, **settings):
     second. Returns (gd_report, bfgs_report).
     """
     cfg = BenchConfig(function, seed=seed, **settings)
-    fits = [replace(cfg, optimizer=optimizer) for optimizer in ("gd", "bfgs")]  # both checked before any fit
+    fits = [replace(cfg, optimizer=optimizer) for optimizer in ("gd", "bfgs")]  # memory-checked before sampling
     data, net0 = _setup(cfg)
     return tuple(_train_and_report(net0, data, fit) for fit in fits)

@@ -257,7 +257,7 @@ class TestRunBenchmark:
 
 class TestMemoryCheck:
     """A run whose largest arrays exceed physical memory is refused when its config is
-    made, before anything is allocated; the tests only ever shrink the memory figure."""
+    made, before anything is allocated; no test here allocates an oversize array."""
 
     # 100 samples at hidden 10 (41 parameters, 80 train rows): the dataset takes 24 B a
     # row, a partition's loss workspace 8 (2 * 41 + 2 * rows * 11) B, the inverse Hessian 8 * 41**2 B.
