@@ -276,7 +276,7 @@ class _Pass:
         if x.shape[1] != topology.n_in:
             raise ValueError(f"dataset rows have {x.shape[1]} inputs, network expects {topology.n_in}")
         n, n_hidden = x.shape[0], topology.n_hidden
-        self.kernels, self.topology, self.x, self.t = _kernels(), topology, x, t
+        self.kernels, self.topology, self.x, self.t = _kernels(), topology, x, t  # output_delta reads t by address
         self.params, self.grad = np.empty(topology.n_params), np.empty(topology.n_params)
         self.hidden, self.d_hid = np.empty((n, n_hidden)), np.empty((n, n_hidden))
         self.out, self.d_out = np.empty((n, 1)), np.empty((n, 1))
@@ -306,18 +306,15 @@ class _Pass:
 
     def loss(self, params: np.ndarray) -> float:
         self.forward(params)
-        r = self.out[:, 0] - self.t
-        r *= r
-        return float(np.add.reduce(r) / r.size)  # np.mean's float64 sum and division
+        self.kernels.output_delta(*self.out_delta)
+        return float(np.add.reduce(self.squares) / self.squares.size)  # np.mean's float64 sum and division
 
     def loss_and_grad(self, params: np.ndarray):
         # The textbook products in their textbook order, each entry one rounded
         # product: d_out = 2/n * resid * out * (1 - out) and d_hid = (d_out W2) *
         # hidden * (1 - hidden), where with one output unit d_out W2 is the broadcast
         # d_out * W2. The kernels also leave resid**2 in out and sum d_hid's columns.
-        self.forward(params)
-        self.kernels.output_delta(*self.out_delta)
-        loss = float(np.add.reduce(self.squares) / self.squares.size)  # np.mean's float64 sum and division
+        loss = self.loss(params)
         np.matmul(self.d_out_t, self.hidden, out=self.gw2)
         np.add.reduce(self.d_out, axis=0, out=self.gb2)
         self.kernels.hidden_delta(*self.hid_delta)

@@ -222,7 +222,8 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
 
     def trial_eval(alpha: float):
         nonlocal evals
-        trial = x + alpha * p
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trial fails below, quietly
+            trial = x + alpha * p
         if not np.isfinite(trial).all():
             return np.nan, None, np.nan  # fails sufficient(), which is tested before g or its slope
         f, g = obj.eval(trial)
@@ -344,16 +345,16 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     ``callback(iter, x, f, grad_norm)`` fires once per iterate, iteration 0
     included, and is the only per-iterate record; the result holds the
     last. ``step_observer(StepRecord)`` fires for every accepted Wolfe
-    step. On a line-search failure the search
-    restarts once from steepest descent with H reset to I, unless H is
-    still I (the start, or no update since the last reset), where that
-    retry would repeat the failed search. A direction that is not descent
-    (g.p >= 0 or NaN) fails its search without a trial. A failure with no
-    retry left ends the run with status ``line_search_failed``, after
-    recording the best trial of that search if it lowered f. Otherwise the
-    run ends with ``converged_grad`` (|g| <= grad_tol) or ``max_iters``.
-    An (s, y) pair that ``bfgs_update_inv_hessian`` refuses is a skipped
-    update.
+    step, after its update and before ``callback`` for the iterate it
+    reaches. On a line-search failure the search restarts once from
+    steepest descent with H reset to I, unless H is still I (the start, or
+    no update since the last reset), where that retry would repeat the
+    failed search. A direction that is not descent (g.p >= 0 or NaN) fails
+    its search without a trial. A failure with no retry left ends the run
+    with status ``line_search_failed``, after recording the best trial of
+    that search if it lowered f. Otherwise the run ends with
+    ``converged_grad`` (|g| <= grad_tol) or ``max_iters``. An (s, y) pair
+    that ``bfgs_update_inv_hessian`` refuses is a skipped update.
     """
     x = np.array(x0, dtype=np.float64)
     if x.shape != (obj.dim,) or not np.all(np.isfinite(x)):
@@ -365,15 +366,13 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     h_is_identity = True
     iteration = n_skipped_updates = n_restarts = n_salvaged = 0
     n_fevals = 1
-    record = status = None
+    status = None
 
     while True:
         # Record the iterate: the start, an accepted Wolfe step or a salvaged trial.
         grad_norm = np.linalg.norm(g)
         if callback is not None:
             callback(iteration, x, f, grad_norm)
-        if record is not None:
-            step_observer(record)
         if status is None:
             if stop.grad_tol > 0 and grad_norm <= stop.grad_tol:
                 status = STATUS_CONVERGED_GRAD
@@ -409,7 +408,6 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
             n_salvaged = 1
 
         x_new = x + alpha * p
-        record = None
         if status is None:
             s = x_new - x
             y = g_new - g
@@ -420,8 +418,8 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                 n_skipped_updates += 1
                 skipped = True
             if step_observer is not None:
-                record = StepRecord(iteration + 1, x, p, alpha, f, g, f_new, g_new, s, y,
-                                    h_inv.copy(), skipped)
+                step_observer(StepRecord(iteration + 1, x, p, alpha, f, g, f_new, g_new, s, y,
+                                         h_inv.copy(), skipped))
         x, f, g = x_new, f_new, g_new
         iteration += 1
 

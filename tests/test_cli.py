@@ -1,4 +1,6 @@
 import csv
+import itertools
+import os
 
 import pytest
 
@@ -7,6 +9,18 @@ from qnmlp.cli import COMPARISON_HEADER, HISTORY_HEADER, main
 
 
 SMALL = ["--samples", "40", "--hidden", "5", "--epochs", "40", "--max-iters", "60"]
+
+# The exit-contract property's (key, value) draws, as bytes so that one value can be
+# a byte that is not UTF-8: every edge value, and one accepted value, for each key;
+# epochs and max_iters skip the huge values, so that no accepted run is long.
+HUGE = [str(2**63).encode(), b"12345678901234567890"]
+EDGES = [b"0", b"-1", *HUGE, b"1e308", b"nan", b"inf", b"-0.0", b"", b"#", b" \t ", b"\xff"]
+ACCEPTED = {"hidden": b"3", "samples": b"40", "train_fraction": b"0.8", "seed": b"3", "eta": b"0.1",
+            "grad_tol": b"1e-5", "c1": b"1e-4", "c2": b"0.9", "epochs": b"5", "max_iters": b"5"}
+CONTRACT_ENTRIES = [(key, value) for key, accepted in ACCEPTED.items() for value in [*EDGES, accepted]
+                    if not (key in ("epochs", "max_iters") and value in HUGE)]
+# Accepted sizes stay small: a drawn line or flag overrides these.
+CONTRACT_BASE = b"samples = 40\nhidden = 5\nepochs = 3\nmax_iters = 5\n"
 
 
 def run_cli(argv):
@@ -405,6 +419,40 @@ class TestUsage:
         assert code == 1
         assert err.startswith("error: this run needs ") and "physical memory" in err and err.count("\n") == 1
         assert not out.exists()
+
+    def test_exit_contract_holds_on_edge_values(self, tmp_path, capsys):
+        # Any argv and --config text ends in exit 0, 1 or 2, with at most one line on
+        # stderr and no traceback, and exit 1 leaves no --out directory.
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        entry = st.sampled_from(CONTRACT_ENTRIES)
+        commands = [["train", "--function", "beale", "--optimizer", "gd"],
+                    ["train", "--function", "booth", "--optimizer", "bfgs"], ["compare", "--function", "booth"]]
+        runs = itertools.count()
+
+        @hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=60)
+        @hypothesis.given(command=st.sampled_from(commands), flags=st.lists(entry, max_size=2),
+                          lines=st.lists(entry, max_size=2))
+        # Most drawn values are refused; these accepted edges run a fit.
+        @hypothesis.example(commands[0], [("eta", b"1e308")], [("seed", HUGE[0])])
+        @hypothesis.example(commands[0], [("eta", HUGE[0])], [])
+        @hypothesis.example(commands[1], [("grad_tol", b"inf")], [("seed", HUGE[1])])
+        @hypothesis.example(commands[2], [("grad_tol", b"-0.0")], [("eta", b"1e308"), ("seed", b"0")])
+        def check(command, flags, lines):
+            run = next(runs)
+            config, out = tmp_path / f"run{run}.cfg", tmp_path / f"run{run}"
+            config.write_bytes(CONTRACT_BASE + b"".join(key.encode() + b" = " + value + b"\n"
+                                                        for key, value in lines))
+            argv = list(command)
+            for key, value in flags:
+                argv += [f"--{key.replace('_', '-')}", os.fsdecode(value)]
+            code = run_cli(argv + ["--config", str(config), "--out", str(out)])
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err and len(err.splitlines()) <= 1
+            assert code != 1 or not out.exists()
+
+        check()
 
     def test_bad_numeric_flag_value(self, tmp_path, capsys):
         code = run_cli(["train", "--function", "booth", "--optimizer", "bfgs",

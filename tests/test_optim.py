@@ -157,7 +157,7 @@ class TestWolfeLineSearch:
             return 0.0, np.array([-1.0])
 
         x, p = np.array([1e308]), np.array([1e308])
-        with pytest.raises(LineSearchError) as failure, np.errstate(over="ignore"):
+        with pytest.raises(LineSearchError) as failure:
             wolfe_line_search(Objective(fun, 1), x, p, 0.0, np.array([-1.0]), WolfeConfig())
         assert all(np.isfinite(point).all() for point in seen)
         # Every zoom trial between 0 and the failed unit step is evaluated and counted.
@@ -418,6 +418,18 @@ class TestBfgsMinimize:
         seen, callback = recorder()
         res = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-9, max_iters=40), callback=callback)
         assert [entry[0] for entry in seen] == list(range(res.iters + 1))
+
+    def test_step_record_comes_before_the_iterate_it_reaches(self):
+        events = []
+        obj, x0 = random_spd_quadratic(3, 5)
+        res = bfgs_minimize(obj, x0, StopCriteria(grad_tol=1e-9, max_iters=40),
+                            callback=lambda k, x, f, gn: events.append(("iterate", k)),
+                            step_observer=lambda rec: events.append(("step", rec.iteration)))
+        assert res.n_skipped_updates == 0 and res.n_salvaged == 0
+        expected = [("iterate", 0)]
+        for k in range(1, res.iters + 1):
+            expected += [("step", k), ("iterate", k)]
+        assert events == expected
 
     def test_step_invariants_on_quadratic(self):
         records = []
