@@ -359,7 +359,8 @@ _parser = cache(build_parser)
 def main(argv=None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.handler(args)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowed network is a run's status, not a warning
+            return args.handler(args)
     except (UsageError, KernelBuildError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE

@@ -237,26 +237,16 @@ def normalize_targets(raw):
     return NORM_LO + (r - lo) * ((NORM_HI - NORM_LO) / (hi - lo))
 
 
-def _sigmoid_pass(kernels, t: np.ndarray, z_at: int, t_at: int, b_at, rows: int, cols: int) -> None:
-    """Overwrite the C-contiguous rows x cols float64 block at address z_at with
-    sigmoid(z + b), b the cols float64 values at b_at (an address or a byref);
-    t, at t_at, is a block of the same size that ends holding exp(-|z + b|).
-
-    With e = exp(-|z|) this is 1 / (1 + e) where z >= 0 and e / (1 + e)
-    elsewhere, so exp never overflows. The two passes around numpy's exp are C.
-    """
-    kernels.sigmoid_begin(z_at, t_at, b_at, rows, cols)
-    np.exp(t, out=t)
-    kernels.sigmoid_end(z_at, t_at, rows * cols)
-
-
 def sigmoid(x):
-    """Logistic function, overflow-safe for large |x|. Works elementwise."""
-    x = np.array(x, dtype=np.float64, order="C")
-    # x is a fresh copy, taken as a column; byref(zero) is cheaper than a third ctypes.data read.
-    work, zero = np.empty(x.size), ctypes.c_double()  # exp's argument; one zero bias: z + 0.0 keeps |z| and z >= 0
-    _sigmoid_pass(_kernels(), work, x.ctypes.data, work.ctypes.data, ctypes.byref(zero), x.size, 1)
-    return float(x) if x.ndim == 0 else x
+    """Logistic function, overflow-safe for large |x|. Works elementwise.
+
+    With e = exp(-|x|) this is 1 / (1 + e) where x >= 0 and e / (1 + e)
+    elsewhere, so exp never overflows; the loss pass's compiled sigmoid gives the same bits.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if out.ndim == 0 else out
 
 
 class _Pass:
@@ -281,13 +271,13 @@ class _Pass:
         self.hidden, self.d_hid = np.empty((n, n_hidden)), np.empty((n, n_hidden))
         self.out, self.d_out = np.empty((n, 1)), np.empty((n, 1))
         w1, b1, w2, b2 = unpack_params(topology, self.params)
-        self.w1_t, self.w2_t = w1.T, w2.T
         self.gw1, self.gb1, self.gw2, self.gb2 = unpack_params(topology, self.grad)
         self.d_hid_t, self.d_out_t, self.squares = self.d_hid.T, self.d_out.T, self.out[:, 0]
         hid_at, d_hid_at, out_at, d_out_at = (a.ctypes.data for a in (self.hidden, self.d_hid, self.out, self.d_out))
-        # _sigmoid_pass's arguments for each layer, then output_delta's and hidden_delta's.
-        self.hidden_layer = (self.d_hid, hid_at, d_hid_at, b1.ctypes.data, n, n_hidden)
-        self.out_layer = (self.d_out, out_at, d_out_at, b2.ctypes.data, n, 1)
+        # Each layer's input, transposed weights, activations and exp's argument, then
+        # sigmoid_begin's arguments; then output_delta's and hidden_delta's.
+        self.layers = ((x, w1.T, self.hidden, self.d_hid, hid_at, d_hid_at, b1.ctypes.data, n, n_hidden),
+                       (self.hidden, w2.T, self.out, self.d_out, out_at, d_out_at, b2.ctypes.data, n, 1))
         self.out_delta = (d_out_at, out_at, t.ctypes.data, n)
         self.hid_delta = (d_hid_at, self.gb1.ctypes.data, d_out_at, w2.ctypes.data, hid_at, n, n_hidden)
 
@@ -297,12 +287,14 @@ class _Pass:
         return 8 * (2 * topology.n_params + 2 * rows * (topology.n_hidden + 1))
 
     def forward(self, params: np.ndarray) -> None:
-        """Both layers' activations for params, into ``hidden`` and ``out``."""
+        """Both layers' activations for params, into ``hidden`` and ``out``: ``sigmoid``
+        of each weighted sum plus bias, with the two passes around numpy's exp in C."""
         np.copyto(self.params, params)
-        np.matmul(self.x, self.w1_t, out=self.hidden)
-        _sigmoid_pass(self.kernels, *self.hidden_layer)
-        np.matmul(self.hidden, self.w2_t, out=self.out)
-        _sigmoid_pass(self.kernels, *self.out_layer)
+        for a, w_t, z, t, z_at, t_at, b_at, rows, cols in self.layers:
+            np.matmul(a, w_t, out=z)
+            self.kernels.sigmoid_begin(z_at, t_at, b_at, rows, cols)
+            np.exp(t, out=t)
+            self.kernels.sigmoid_end(z_at, t_at, z.size)
 
     def loss(self, params: np.ndarray) -> float:
         self.forward(params)

@@ -438,6 +438,7 @@ class TestUsage:
         @hypothesis.example(commands[0], [("eta", HUGE[0])], [])
         @hypothesis.example(commands[1], [("grad_tol", b"inf")], [("seed", HUGE[1])])
         @hypothesis.example(commands[2], [("grad_tol", b"-0.0")], [("eta", b"1e308"), ("seed", b"0")])
+        @hypothesis.example(commands[2], [("eta", b"1.79e308")], [("seed", b"0")])  # GD's weights overflow
         def check(command, flags, lines):
             run = next(runs)
             config, out = tmp_path / f"run{run}.cfg", tmp_path / f"run{run}"
@@ -468,7 +469,8 @@ class TestUsage:
 
 
 class TestWithoutCompiler:
-    """Every fit and ``gradcheck`` build the compiled kernels with ``cc`` at first use; ``import qnmlp`` needs none."""
+    """Every fit and ``gradcheck`` build the compiled kernels with ``cc`` at first use;
+    ``import qnmlp`` and ``qnmlp.sigmoid`` need none."""
 
     def run_without_cc(self, tmp_path, argv, program=("-m", "qnmlp.cli")):
         import os
@@ -511,5 +513,5 @@ class TestWithoutCompiler:
         assert not (tmp_path / "o").exists()
 
     def test_import_needs_no_compiler(self, tmp_path):
-        done = self.run_without_cc(tmp_path, [], program=("-c", "import qnmlp"))
+        done = self.run_without_cc(tmp_path, [], program=("-c", "import qnmlp; assert qnmlp.sigmoid(0.0) == 0.5"))
         assert done.returncode == 0, done.stderr

@@ -242,6 +242,19 @@ class TestForward:
         h2, o2 = forward_rows(t, params, x)
         assert np.array_equal(h1, h2) and np.array_equal(o1, o2)
 
+    def test_hidden_layer_matches_reference_on_special_values(self):
+        # One input of 1.0, the values as input weights and hidden biases of -0.0:
+        # each hidden pre-activation is its value, through the compiled sigmoid.
+        values = np.array([0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, math.inf, -math.inf, math.nan])
+        t = Topology(1, values.size, 1)
+        params = np.zeros(t.n_params)
+        w1, b1, _, _ = unpack_params(t, params)
+        w1[:, 0], b1[:] = values, -0.0
+        hidden, _ = forward_rows(t, params, [1.0])
+        ref = reference_sigmoid(values)
+        assert np.array_equal(hidden[0], ref, equal_nan=True)
+        assert np.array_equal(np.signbit(hidden[0]), np.signbit(ref))
+
     @pytest.mark.parametrize("seed", range(10))
     def test_outputs_strictly_inside_unit_interval(self, seed):
         rng = np.random.default_rng(seed)
