@@ -366,9 +366,5 @@ def main(argv=None) -> int:
         return EXIT_USAGE
 
 
-def run() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    run()
+    sys.exit(main())

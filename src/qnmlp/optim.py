@@ -230,7 +230,8 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
         evals += 1
         if isfinite(f) and f < best[1]:
             best[:] = [alpha, f, g]
-        return f, g, linalg.dot(g, p)
+        with np.errstate(invalid="ignore"):  # a slope of inf - inf is NaN, which fails curvature() quietly
+            return f, g, linalg.dot(g, p)
 
     def sufficient(alpha: float, f: float) -> bool:
         return isfinite(f) and f <= f0 + cfg.c1 * alpha * d0
@@ -383,9 +384,7 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
 
         # The quasi-Newton direction, then once more from steepest descent with
         # H = I, unless H is I already and -g is the direction that just failed.
-        directions = [-(h_inv @ g)]
-        if not h_is_identity:
-            directions.append(-g)
+        directions = [-g] if h_is_identity else [-(h_inv @ g), -g]
         for retry, p in enumerate(directions):
             n_restarts += retry
             try:
@@ -462,9 +461,8 @@ def _epoch_source(n_in: int, n_hidden: int) -> str:
     them after one sweep over the training rows. Every weight and bias is a
     local float and every unit and input is written out, so a row step has
     no loop and no numpy call. Each weighted sum is one expression
-    evaluated left to right, from 0.0 through the inputs to the bias times
-    1.0, and the sigmoid is ``mlp.sigmoid``'s overflow-safe form with
-    ``math.exp``.
+    evaluated left to right, through the inputs to the bias, and the
+    sigmoid is ``mlp.sigmoid``'s overflow-safe form with ``math.exp``.
     """
     xs = [f"x{i}" for i in range(n_in)]
     hs = [f"h{j}" for j in range(n_hidden)]
@@ -476,8 +474,8 @@ def _epoch_source(n_in: int, n_hidden: int) -> str:
     def neuron(out, weights, inputs, bias):
         # One left-to-right expression: built-in sum() rounds differently since
         # Python 3.12, and math.sumprod does not exist in 3.11.
-        terms = "".join(f" + {w} * {x}" for w, x in zip(weights, inputs))
-        return [f"        z = 0.0{terms} + {bias} * 1.0",
+        terms = " + ".join(f"{w} * {x}" for w, x in zip(weights, inputs))
+        return [f"        z = {terms} + {bias}",
                 "        e = exp(-abs(z))",
                 f"        {out} = (1.0 if z >= 0 else e) / (1.0 + e)"]
 
@@ -492,9 +490,9 @@ def _epoch_source(n_in: int, n_hidden: int) -> str:
     for j in range(n_hidden):
         lines.append(f"        dh = {hs[j]} * (1.0 - {hs[j]}) * ({vs[j]} * d)")
         lines += [f"        {w} += eta * (dh * {x})" for w, x in zip(ws[j], xs)]
-        lines.append(f"        {bs[j]} += eta * (dh * 1.0)")
+        lines.append(f"        {bs[j]} += eta * dh")
     lines += [f"        {v} += eta * (d * {h})" for v, h in zip(vs, hs)]
-    lines += ["        c += eta * (d * 1.0)", f"    return {names}"]
+    lines += ["        c += eta * d", f"    return {names}"]
     return "\n".join(lines) + "\n"
 
 

@@ -646,8 +646,9 @@ def tiny_training_setup(seed=0, rows=6, hidden=3):
     return net, data
 
 
-def poison_loss_after(monkeypatch, good_calls):
-    """Make the trainers' loss_and_grad return a NaN loss after good_calls calls.
+def poison_loss_after(monkeypatch, good_calls, poison=float("nan")):
+    """Make the trainers' loss_and_grad return the loss poison after good_calls
+    calls, or raise poison there when it is an exception.
 
     Returns the dict whose "n" counts every call.
     """
@@ -659,7 +660,9 @@ def poison_loss_after(monkeypatch, good_calls):
     def poisoned(n, d, rows="train"):
         calls["n"] += 1
         if calls["n"] > good_calls:
-            return float("nan"), np.zeros(n.topology.n_params)
+            if isinstance(poison, Exception):
+                raise poison
+            return poison, np.zeros(n.topology.n_params)
         return real(n, d, rows)
 
     monkeypatch.setattr(optim_module, "loss_and_grad", poisoned)
@@ -759,27 +762,27 @@ EPOCH_SOURCE_2_2 = """\
 def epoch(params, rows, targets, eta):
     w0_0, w0_1, w1_0, w1_1, b0, b1, v0, v1, c = params
     for (x0, x1,), t in zip(rows, targets):
-        z = 0.0 + w0_0 * x0 + w0_1 * x1 + b0 * 1.0
+        z = w0_0 * x0 + w0_1 * x1 + b0
         e = exp(-abs(z))
         h0 = (1.0 if z >= 0 else e) / (1.0 + e)
-        z = 0.0 + w1_0 * x0 + w1_1 * x1 + b1 * 1.0
+        z = w1_0 * x0 + w1_1 * x1 + b1
         e = exp(-abs(z))
         h1 = (1.0 if z >= 0 else e) / (1.0 + e)
-        z = 0.0 + v0 * h0 + v1 * h1 + c * 1.0
+        z = v0 * h0 + v1 * h1 + c
         e = exp(-abs(z))
         o = (1.0 if z >= 0 else e) / (1.0 + e)
         d = o * (1.0 - o) * (t - o)
         dh = h0 * (1.0 - h0) * (v0 * d)
         w0_0 += eta * (dh * x0)
         w0_1 += eta * (dh * x1)
-        b0 += eta * (dh * 1.0)
+        b0 += eta * dh
         dh = h1 * (1.0 - h1) * (v1 * d)
         w1_0 += eta * (dh * x0)
         w1_1 += eta * (dh * x1)
-        b1 += eta * (dh * 1.0)
+        b1 += eta * dh
         v0 += eta * (d * h0)
         v1 += eta * (d * h1)
-        c += eta * (d * 1.0)
+        c += eta * d
     return w0_0, w0_1, w1_0, w1_1, b0, b1, v0, v1, c
 """
 

@@ -1,5 +1,6 @@
-"""Property tests: the inverse-Hessian update, the strong-Wolfe line search and
-the generated online-GD epoch under overflow.
+"""Property tests: the inverse-Hessian update, the strong-Wolfe line search,
+the generated online-GD epoch under overflow, and both trainers on an
+objective that turns non-finite or raises.
 
 Hypothesis draws the cases with ``derandomize=True`` and no example
 database, so every run tries the same examples and the suite stays
@@ -19,8 +20,10 @@ from qnmlp import (
     LineSearchError,
     Network,
     Objective,
+    StopCriteria,
     Topology,
     WolfeConfig,
+    bfgs_minimize,
     bfgs_update_inv_hessian,
     gd_train,
     init_params,
@@ -28,11 +31,19 @@ from qnmlp import (
     unpack_params,
     wolfe_line_search,
 )
-from qnmlp.optim import STATUS_DIVERGED
-from test_optim import recorder, reference_expanded_update, reference_sweep
+from qnmlp.optim import STATUS_CONVERGED_GRAD, STATUS_DIVERGED, STATUS_LINE_SEARCH_FAILED, STATUS_MAX_ITERS
+from test_optim import (
+    poison_loss_after,
+    random_spd_quadratic,
+    recorder,
+    reference_expanded_update,
+    reference_sweep,
+    tiny_training_setup,
+)
 
 hypothesis = pytest.importorskip("hypothesis")
 linesearch = pytest.importorskip("scipy.optimize._linesearch")
+optimize = pytest.importorskip("scipy.optimize")
 st = hypothesis.strategies
 
 PROPERTY = hypothesis.settings(derandomize=True, database=None, deadline=None, max_examples=40)
@@ -149,3 +160,78 @@ def test_generated_epoch_equals_scalar_reference_through_overflow(n_in, hidden, 
     assert np.array_equal(trained.params, expected.params)
     assert np.array_equal(seen, expected_seen, equal_nan=True)
     hypothesis.event(f"status {res.status}, epoch 4 {'finite' if np.all(np.isfinite(generated)) else 'non-finite'}")
+
+
+class Poisoned(Exception):
+    """What a poisoned objective raises."""
+
+
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+POISON_CASES = {
+    "spd-quadratic": lambda: random_spd_quadratic(5, 0),
+    "rosenbrock-5": lambda: (Objective(lambda x: (optimize.rosen(x), optimize.rosen_der(x)), 5),
+                             np.array([-1.2, 1.0, 1.0, 1.0, 1.0])),
+}
+
+
+@hypothesis.settings(PROPERTY, max_examples=150)
+# +-inf gradients: the start's direction, and a trial's slope inf - inf
+@hypothesis.example(case="spd-quadratic", part="g", value=float("inf"), k=1)
+@hypothesis.example(case="rosenbrock-5", part="g", value=float("-inf"), k=1)
+@hypothesis.example(case="spd-quadratic", part="g", value=float("inf"), k=2)
+@hypothesis.example(case="rosenbrock-5", part="g", value=float("-inf"), k=5)
+@hypothesis.given(case=st.sampled_from(sorted(POISON_CASES)), part=st.sampled_from(["f", "g", "g[0]", "raise"]),
+                  value=st.sampled_from(NON_FINITE), k=st.integers(1, 60))
+def test_bfgs_ends_defined_when_objective_turns_non_finite(case, part, value, k):
+    # From its k-th call on, the objective returns value as f, as all of g or
+    # as g[0], or raises. Tier-1 turns any numpy RuntimeWarning into an error.
+    obj, x0 = POISON_CASES[case]()
+    calls = 0
+
+    def poisoned(x):
+        nonlocal calls
+        calls += 1
+        f, g = obj.eval(x)
+        if calls < k:
+            return f, g
+        if part == "raise":
+            raise Poisoned(f"call {calls}")
+        if part == "f":
+            return value, g
+        g[0 if part == "g[0]" else slice(None)] = value
+        return f, g
+
+    try:
+        res = bfgs_minimize(Objective(poisoned, obj.dim), x0, StopCriteria(grad_tol=1e-8, max_iters=60))
+    except Poisoned:
+        assert part == "raise" and calls == k
+        return
+    except ValueError:
+        assert (part, k) == ("f", 1)  # a non-finite start is refused
+        return
+    assert part != "raise" or calls < k
+    assert (part, k) != ("f", 1)
+    assert res.status in (STATUS_CONVERGED_GRAD, STATUS_MAX_ITERS, STATUS_LINE_SEARCH_FAILED)
+    assert np.all(np.isfinite(res.x_final)) and np.isfinite(res.f_final)
+    hypothesis.event(f"status {res.status}, poisoned {'yes' if calls >= k else 'no'}")
+
+
+@PROPERTY
+@hypothesis.given(poison=st.sampled_from([*NON_FINITE, Poisoned("loss")]), k=st.integers(1, 8))
+def test_gd_ends_diverged_when_loss_turns_non_finite(poison, k):
+    # loss_and_grad's k-th call, the start's or the end of epoch k - 1, returns
+    # the poison loss or raises it; a run of 6 epochs makes 7 calls.
+    net, data = tiny_training_setup()
+    with pytest.MonkeyPatch.context() as patch:
+        calls = poison_loss_after(patch, k - 1, poison)
+        try:
+            trained, res = gd_train(net, data, GdConfig(eta=0.1, epochs=6))
+        except Poisoned:
+            assert isinstance(poison, Poisoned) and calls["n"] == k
+            return
+    if k > 7:
+        assert res.status == STATUS_MAX_ITERS
+    else:
+        assert not isinstance(poison, Poisoned)
+        assert res.status == STATUS_DIVERGED and res.iters == max(k - 2, 0)
+    assert np.all(np.isfinite(trained.params))
