@@ -71,8 +71,8 @@ class CurvatureError(ValueError):
 class LineSearchError(RuntimeError):
     """No strong-Wolfe step below the step cap or within the zoom budget.
 
-    Carries the best (lowest-f) trial seen so the caller can decide what
-    to salvage.
+    Carries the lowest finite-f trial, or (0, f0, g0) if none is below f0:
+    every trial's step is positive, so alpha > 0 exactly when one lowered f.
     """
 
     def __init__(self, message: str, alpha: float, f: float, g: np.ndarray, evals: int):
@@ -285,7 +285,7 @@ def bfgs_update_inv_hessian(h_inv: np.ndarray, s: np.ndarray, y: np.ndarray) -> 
     H' y = s and stays positive definite.
 
     h_inv, a writable, C-contiguous float64 array such as the np.eye that
-    bfgs_minimize starts from, is overwritten with the result and returned.
+    bfgs_minimize updates from I, is overwritten with the result and returned.
     Hy is formed first, by BLAS; the rank-two pass is then one compiled
     unit-stride loop, on a private copy of u and s, so s may be a view
     into H. Every entry is the textbook h_ij + (u_i s_j + s_i u_j), each
@@ -340,8 +340,9 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                   step_observer=None) -> MinimizeResult:
     """Full-matrix BFGS with strong-Wolfe steps, starting from H = I.
 
-    The run updates its own H in place; each ``StepRecord.h_inv_after``
-    is a copy, taken only when a ``step_observer`` is given.
+    A start whose value or gradient is not finite raises ValueError. H = I
+    is held as no matrix; an update from it builds an ``np.eye`` that later
+    updates overwrite in place, and each ``StepRecord.h_inv_after`` is a copy.
 
     ``callback(iter, x, f, grad_norm)`` fires once per iterate, iteration 0
     included, and is the only per-iterate record; the result holds the
@@ -361,10 +362,9 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     if x.shape != (obj.dim,) or not np.all(np.isfinite(x)):
         raise ValueError(f"x0 must be a finite 1-D vector of length {obj.dim}, got shape {x.shape}")
     f, g = obj.eval(x)
-    if not np.isfinite(f):
+    if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise ValueError("objective is not finite at the starting point")
-    h_inv = np.eye(x.size)
-    h_is_identity = True
+    h_inv = None  # H = I
     iteration = n_skipped_updates = n_restarts = n_salvaged = 0
     n_fevals = 1
     status = None
@@ -384,25 +384,23 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
 
         # The quasi-Newton direction, then once more from steepest descent with
         # H = I, unless H is I already and -g is the direction that just failed.
-        directions = [-g] if h_is_identity else [-(h_inv @ g), -g]
+        directions = [-g] if h_inv is None else [-(h_inv @ g), -g]
         for retry, p in enumerate(directions):
             n_restarts += retry
             try:
                 # NotDescentError when H lost positive definiteness numerically, g
-                # is exactly zero (only reachable with grad_tol disabled) or NaN.
+                # is exactly zero (only reachable with grad_tol disabled) or g.p is NaN.
                 alpha, f_new, g_new, evals = wolfe_line_search(obj, x, p, f, g, wolfe)
                 n_fevals += evals
                 break
             except LineSearchError as err:
                 n_fevals += err.evals
-                failure = err
-                h_inv = np.eye(x.size)
-                h_is_identity = True
+                failure, h_inv = err, None
         else:
             status = STATUS_LINE_SEARCH_FAILED
-            if not (np.isfinite(failure.f) and failure.f < f and failure.alpha > 0):
+            if not failure.alpha > 0:
                 break
-            # Salvage the best trial the failed search saw.
+            # Salvage the best trial the failed search saw: it lowered f.
             alpha, f_new, g_new = failure.alpha, failure.f, failure.g
             n_salvaged = 1
 
@@ -410,15 +408,16 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
         if status is None:
             s = x_new - x
             y = g_new - g
-            try:
-                bfgs_update_inv_hessian(h_inv, s, y)
-                h_is_identity = skipped = False
+            h_new = np.eye(x.size) if h_inv is None else h_inv
+            try:  # a refused pair raises before anything is written
+                h_inv = bfgs_update_inv_hessian(h_new, s, y)
+                skipped = False
             except CurvatureError:
                 n_skipped_updates += 1
                 skipped = True
             if step_observer is not None:
                 step_observer(StepRecord(iteration + 1, x, p, alpha, f, g, f_new, g_new, s, y,
-                                         h_inv.copy(), skipped))
+                                         h_new.copy(), skipped))
         x, f, g = x_new, f_new, g_new
         iteration += 1
 

@@ -551,15 +551,33 @@ class TestBfgsMinimize:
         assert res.n_restarts == 0
         assert res.n_salvaged == 1
 
-    def test_nan_slope_ends_line_search_failed(self):
-        # g.p is NaN at the start: no trial, no retry while H is I
-        obj = Objective(lambda x: (float(x[0] ** 2), np.array([np.nan])), 1)
-        res = bfgs_minimize(obj, [1.0])
+    @pytest.mark.parametrize("part", ["g", "g[0]"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_start_gradient_is_refused(self, part, value):
+        calls = []
+
+        def fun(x):
+            calls.append(x)
+            g = 2.0 * x
+            g[0 if part == "g[0]" else slice(None)] = value
+            return float(x @ x), g
+
+        with pytest.raises(ValueError, match="not finite at the starting point"):
+            bfgs_minimize(Objective(fun, 2), [1.0, 2.0])
+        assert len(calls) == 1  # the start's call: no line-search trial
+
+    def test_no_identity_while_h_is_i(self, monkeypatch):
+        def no_eye(*args, **kwargs):
+            raise AssertionError("np.eye called while H is I")
+
+        monkeypatch.setattr(np, "eye", no_eye)
+        res = bfgs_minimize(Objective(lambda x: (float(x @ x), 2.0 * x), 2), np.zeros(2))
+        assert (res.status, res.iters) == (STATUS_CONVERGED_GRAD, 0)
+        # unbounded below: the only search, along -g from H = I, reaches the step cap
+        res = bfgs_minimize(Objective(lambda x: (-x[0], np.array([-1.0])), 1), np.array([0.0]),
+                            StopCriteria(grad_tol=1e-8, max_iters=10))
         assert res.status == STATUS_LINE_SEARCH_FAILED
-        assert res.iters == 0
-        assert res.n_fevals == 1
-        assert res.n_restarts == 0
-        assert res.n_salvaged == 0
+        assert (res.n_fevals, res.n_restarts, res.n_salvaged) == (12, 0, 1)
 
     def test_refused_update_is_skipped(self, monkeypatch):
         import qnmlp.optim as optim_module

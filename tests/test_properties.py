@@ -207,10 +207,10 @@ def test_bfgs_ends_defined_when_objective_turns_non_finite(case, part, value, k)
         assert part == "raise" and calls == k
         return
     except ValueError:
-        assert (part, k) == ("f", 1)  # a non-finite start is refused
+        assert part in ("f", "g", "g[0]") and k == 1  # a non-finite start is refused
         return
     assert part != "raise" or calls < k
-    assert (part, k) != ("f", 1)
+    assert k > 1
     assert res.status in (STATUS_CONVERGED_GRAD, STATUS_MAX_ITERS, STATUS_LINE_SEARCH_FAILED)
     assert np.all(np.isfinite(res.x_final)) and np.isfinite(res.f_final)
     hypothesis.event(f"status {res.status}, poisoned {'yes' if calls >= k else 'no'}")
