@@ -217,21 +217,21 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
     if not d0 < 0:
         raise NotDescentError(f"p is not a descent direction (g.p = {d0:g})", 0.0, f0, g0, 0)
 
-    evals = 0
-    best = [0.0, f0, g0]
+    trials = []  # (alpha, f, g, g.p) of each trial the objective evaluated, in order
 
     def trial_eval(alpha: float):
-        nonlocal evals
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite trial fails below, quietly
             trial = x + alpha * p
         if not np.isfinite(trial).all():
             return np.nan, None, np.nan  # fails sufficient(), which is tested before g or its slope
         f, g = obj.eval(trial)
-        evals += 1
-        if isfinite(f) and f < best[1]:
-            best[:] = [alpha, f, g]
         with np.errstate(invalid="ignore"):  # a slope of inf - inf is NaN, which fails curvature() quietly
-            return f, g, linalg.dot(g, p)
+            trials.append((alpha, f, g, linalg.dot(g, p)))
+        return trials[-1][1:]
+
+    def failure(message: str) -> LineSearchError:  # carries the first trial with the lowest f below f0
+        lower = [t[:3] for t in trials if isfinite(t[1]) and t[1] < f0]
+        return LineSearchError(message, *min(lower, key=lambda t: t[1], default=(0.0, f0, g0)), len(trials))
 
     def sufficient(alpha: float, f: float) -> bool:
         return isfinite(f) and f <= f0 + cfg.c1 * alpha * d0
@@ -247,26 +247,24 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
                 hi, f_hi = a, f_a
             else:
                 if curvature(d_a):
-                    return a, f_a, g_a
+                    return a, f_a, g_a, len(trials)
                 if d_a * (hi - lo) >= 0:
                     hi, f_hi = lo, f_lo
                 lo, f_lo, d_lo = a, f_a, d_a
-        raise LineSearchError("zoom budget exhausted without a Wolfe step", best[0], best[1], best[2], evals)
+        raise failure("zoom budget exhausted without a Wolfe step")
 
     a_prev, f_prev, d_prev = 0.0, f0, d0
     a = 1.0
     while True:
         f_a, g_a, d_a = trial_eval(a)
         if not sufficient(a, f_a) or (a_prev > 0 and f_a >= f_prev):
-            alpha, f_new, g_new = zoom(a_prev, f_prev, d_prev, a, f_a)
-            return alpha, f_new, g_new, evals
+            return zoom(a_prev, f_prev, d_prev, a, f_a)
         if curvature(d_a):
-            return a, f_a, g_a, evals
+            return a, f_a, g_a, len(trials)
         if d_a >= 0:
-            alpha, f_new, g_new = zoom(a, f_a, d_a, a_prev, f_prev)
-            return alpha, f_new, g_new, evals
+            return zoom(a, f_a, d_a, a_prev, f_prev)
         if a >= ALPHA_MAX:
-            raise LineSearchError("step cap reached without a Wolfe step", best[0], best[1], best[2], evals)
+            raise failure("step cap reached without a Wolfe step")
         a_prev, f_prev, d_prev = a, f_a, d_a
         a = min(2.0 * a, ALPHA_MAX)
 
