@@ -4,8 +4,9 @@ BFGS is exposed twice: ``bfgs_minimize`` works on any objective that
 returns (value, gradient), and ``bfgs_train`` wraps the perceptron's
 training loss as such an objective over the flat parameter vector. The
 line search brackets then zooms until both strong Wolfe inequalities
-hold, which is what keeps every inverse-Hessian update positive
-definite.
+hold, or, where f runs out of precision, the approximate ones; either
+slope test keeps y.s > 0, which is what keeps every inverse-Hessian
+update positive definite.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "CURVATURE_FLOOR",
     "ALPHA_MAX",
     "MAX_ZOOM_STEPS",
+    "APPROX_WOLFE_EPS",
     "CurvatureError",
     "KernelBuildError",
     "LineSearchError",
@@ -57,10 +59,11 @@ STATUS_DIVERGED = "diverged"  # gradient descent only: the loss or a parameter w
 # plain BFGS semantics.
 CURVATURE_FLOOR = 1e-10
 
-# The line search doubles its step from 1.0 to this cap (the 11th trial)
-# and zooms in at most this many trials.
+# The line search doubles its step from 1.0 to this cap (the 11th trial) and zooms in at
+# most this many trials; a zoom that runs out may take f <= f0 + APPROX_WOLFE_EPS * |f0|.
 ALPHA_MAX = 1e3
 MAX_ZOOM_STEPS = 30
+APPROX_WOLFE_EPS = 1e-6
 
 
 class CurvatureError(ValueError):
@@ -69,7 +72,7 @@ class CurvatureError(ValueError):
 
 
 class LineSearchError(RuntimeError):
-    """No strong-Wolfe step below the step cap or within the zoom budget.
+    """No strong-Wolfe step below the step cap, or no Wolfe step within the zoom budget.
 
     Carries the lowest finite-f trial, or (0, f0, g0) if none is below f0:
     every trial's step is positive, so alpha > 0 exactly when one lowered f.
@@ -206,10 +209,15 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
 
     Returns (alpha, f_new, g_new, evals) with alpha satisfying both the
     sufficient-decrease and the absolute curvature inequality. The bracket
-    starts at alpha = 1 and doubles up to ``ALPHA_MAX``. Raises
-    NotDescentError (a ValueError) if g0.p is not negative, NaN included,
-    and LineSearchError when the bracket reaches the cap or the zoom runs
-    out of its ``MAX_ZOOM_STEPS`` trials. A trial point that is not finite
+    starts at alpha = 1 and doubles up to ``ALPHA_MAX``. A zoom that runs out
+    of its ``MAX_ZOOM_STEPS`` trials, where f can no longer resolve the
+    decrease asked for, returns the first trial with the lowest finite f that
+    meets the approximate, not the strong, Wolfe conditions (Hager and Zhang,
+    SIAM J. Optim. 16(1), 2005, section 4): f <= f0 + ``APPROX_WOLFE_EPS`` |f0|
+    and (2 c1 - 1) g0.p >= g.p >= -c2 |g0.p|.
+    Raises NotDescentError (a ValueError) if g0.p is not negative, NaN
+    included, and LineSearchError when the bracket reaches the cap or the
+    zoom runs out with no such trial. A trial point that is not finite
     is a failed trial: the objective never sees it, and evals does not count
     it (an overflowed weight would saturate the sigmoid to a finite loss).
     """
@@ -251,6 +259,10 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
                 if d_a * (hi - lo) >= 0:
                     hi, f_hi = lo, f_lo
                 lo, f_lo, d_lo = a, f_a, d_a
+        approx = [t[:3] for t in trials if isfinite(t[1]) and t[1] <= f0 + APPROX_WOLFE_EPS * abs(f0)
+                  and (2 * cfg.c1 - 1) * d0 >= t[3] >= -cfg.c2 * abs(d0)]
+        if approx:
+            return (*min(approx, key=lambda t: t[1]), len(trials))
         raise failure("zoom budget exhausted without a Wolfe step")
 
     a_prev, f_prev, d_prev = 0.0, f0, d0
@@ -336,7 +348,7 @@ def bfgs_update_hessian(b: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarr
 def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                   wolfe: WolfeConfig = WolfeConfig(), callback=None,
                   step_observer=None) -> MinimizeResult:
-    """Full-matrix BFGS with strong-Wolfe steps, starting from H = I.
+    """Full-matrix BFGS with Wolfe steps (see wolfe_line_search), starting from H = I.
 
     A start whose value or gradient is not finite raises ValueError. H = I
     is held as no matrix; an update from it builds an ``np.eye`` that later

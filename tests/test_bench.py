@@ -26,7 +26,7 @@ from qnmlp import (
     sample_dataset,
 )
 from qnmlp import bench
-from qnmlp.bench import _setup, beale_grad, booth_grad
+from qnmlp.bench import TrainReport, _setup, beale_grad, booth_grad
 from qnmlp.mlp import Dataset, normalize_targets
 
 
@@ -182,6 +182,20 @@ class TestErrorPercent:
             a = error_percent(net, data, rows)
             b = error_percent(net, shuffled, rows)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
+
+
+class TestTrainReport:
+    @pytest.mark.parametrize("field, value, match", [
+        ("history", [], "history must not be empty"),
+        ("train_error_pct", np.nan, "error percentages must be finite"),
+        ("test_error_pct", np.inf, "error percentages must be finite"),
+    ], ids=["empty-history", "nan-train-error", "inf-test-error"])
+    def test_refused(self, field, value, match):
+        fields = dict(train_error_pct=1.0, test_error_pct=1.0, iterations=3, wall_clock_s=0.0,
+                      history=[(0, 1.0, 1.0, 1.0)], status="max_iters", init_params_hash="0" * 64)
+        TrainReport(**fields)
+        with pytest.raises(ValueError, match=match):
+            TrainReport(**{**fields, field: value})
 
 
 class TestRunBenchmark:

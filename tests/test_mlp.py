@@ -296,6 +296,17 @@ class TestDataset:
         with pytest.raises(ValueError):
             data.inputs[0, 0] = 99.0
 
+    @pytest.mark.parametrize("inputs, targets, match", [
+        (np.zeros(4), [0.5] * 4, "inputs must be a 2-D array"),
+        (np.zeros((4, 0)), [0.5] * 4, "inputs must be a 2-D array"),
+        (np.zeros((4, 2, 1)), [0.5] * 4, "inputs must be a 2-D array"),
+        (np.zeros((4, 2)), [0.5] * 3, "one entry per row"),
+        (np.zeros((1, 2)), [0.5], "one entry per row"),
+    ], ids=["1-d", "empty-rows", "3-d", "row-target-mismatch", "one-row"])
+    def test_malformed_shapes_rejected(self, inputs, targets, match):
+        with pytest.raises(ValueError, match=match):
+            Dataset(inputs, targets, 1)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_inputs_rejected(self, bad):
         inputs = np.zeros((4, 2))
@@ -325,6 +336,11 @@ class TestNormalization:
     def test_nonfinite_rejected(self, bad):
         with pytest.raises(ValueError, match="raw targets must be finite"):
             normalize_targets([0.0, bad, 1.0])
+
+    @pytest.mark.parametrize("raw", [[], [1.0], [[0.0, 1.0]]], ids=["none", "one", "2-d"])
+    def test_fewer_than_two_rejected(self, raw):
+        with pytest.raises(ValueError, match="need at least 2 raw targets"):
+            normalize_targets(raw)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_roundtrip(self, seed):

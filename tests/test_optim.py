@@ -164,6 +164,33 @@ class TestWolfeLineSearch:
         assert failure.value.evals == len(seen) == optim.MAX_ZOOM_STEPS
         assert failure.value.alpha == 0.0
 
+    def test_zoom_out_at_the_floor_returns_lowest_approximate_wolfe_trial(self):
+        # f is 1.0 up to a few ulps of rounding noise, so it cannot resolve the decrease
+        # of about 3e-22 that sufficient decrease asks for, while g is that of a
+        # quadratic with its minimum at alpha = 2/3. Every trial is a bisection point
+        # 2**-j, none meets the strong Wolfe conditions, and the zoom runs out.
+        noise_ulps = {0: 2, 1: 1, 2: 3, 3: 1}  # by j; none from alpha = 1/16 down
+        p, g0, cfg = np.array([1.5e-9]), np.array([-2e-9]), WolfeConfig()
+        seen = []
+
+        def fun(x):
+            j = round(-np.log2(x[0] / p[0]))
+            seen.append((1.0 + noise_ulps.get(j, 0) * np.spacing(1.0), np.array([2.0 * (x[0] - 1e-9)])))
+            return seen[-1]
+
+        alpha, f, g, evals = wolfe_line_search(Objective(fun, 1), np.zeros(1), p, 1.0, g0, cfg)
+        assert evals == len(seen) == 1 + optim.MAX_ZOOM_STEPS  # the unit step, then the zoom
+        d0 = float(g0 @ p)
+        approx = [(f_t, g_t) for f_t, g_t in seen if f_t <= 1.0 + optim.APPROX_WOLFE_EPS
+                  and (2 * cfg.c1 - 1) * d0 >= float(g_t @ p) >= -cfg.c2 * abs(d0)]
+        assert len(approx) == 4  # alpha = 1, 1/2, 1/4 and 1/8
+        # The first trial with the lowest f among them: alpha = 1/2, not 1/8, at 1 ulp.
+        # The trials at 0 ulps lie too near 0, where the slope is still steep.
+        assert (alpha, f) == (0.5, 1.0 + np.spacing(1.0))
+        assert f == min(f_t for f_t, _ in approx) and g is approx[1][1]
+        assert min(f_t for f_t, _ in seen) == 1.0
+        assert not f <= 1.0 + cfg.c1 * alpha * d0  # not a strong-Wolfe step
+
     def test_unbounded_linear_descent_fails(self):
         # f(x) = -x has constant slope: the curvature condition can never hold
         obj = Objective(lambda x: (-x[0], np.array([-1.0])), 1)
@@ -232,6 +259,8 @@ class TestBfgsUpdates:
             bfgs_update_inv_hessian(np.eye(2), s, -s)
         with pytest.raises(CurvatureError):
             bfgs_update_hessian(np.eye(2), s, np.array([0.0, 1.0]))  # y.s == 0
+        with pytest.raises(CurvatureError, match="s.B.s"):
+            bfgs_update_hessian(np.diag([0.0, 1.0]), s, s)  # y.s > 0, but s.B.s == 0
 
     def test_inverse_update_refuses_curvature_below_floor(self):
         s = np.array([1.0, 0.0])
@@ -629,6 +658,11 @@ class TestBfgsMinimize:
         obj = quadratic_objective(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
             bfgs_minimize(obj, np.zeros(3))
+
+    @pytest.mark.parametrize("g", [np.zeros(3), np.zeros((2, 1)), 0.0], ids=["long", "column", "scalar"])
+    def test_gradient_of_wrong_shape_rejected(self, g):
+        with pytest.raises(ValueError, match="gradient of shape"):
+            bfgs_minimize(Objective(lambda x: (0.0, g), 2), np.zeros(2))
 
     @pytest.mark.parametrize("x0", [np.zeros(0), np.array([1.0, np.nan]),
                                     np.array([np.inf, 0.0]), np.zeros((1, 2))],
