@@ -74,15 +74,11 @@ class CurvatureError(ValueError):
 class LineSearchError(RuntimeError):
     """No strong-Wolfe step below the step cap, or no Wolfe step within the zoom budget.
 
-    Carries the lowest finite-f trial, or (0, f0, g0) if none is below f0:
-    every trial's step is positive, so alpha > 0 exactly when one lowered f.
+    Carries ``evals``, the objective calls the failed search made.
     """
 
-    def __init__(self, message: str, alpha: float, f: float, g: np.ndarray, evals: int):
+    def __init__(self, message: str, evals: int):
         super().__init__(message)
-        self.alpha = alpha
-        self.f = f
-        self.g = g
         self.evals = evals
 
 
@@ -182,7 +178,6 @@ class MinimizeResult:
     n_skipped_updates: int = 0
     n_fevals: int = 0  # objective calls, the start and every line-search trial included
     n_restarts: int = 0  # steepest-descent retries after a failed quasi-Newton search
-    n_salvaged: int = 0  # 1 when the run ended on the best trial of a failed search
 
 
 def _quadratic_trial(lo: float, f_lo: float, d_lo: float, hi: float, f_hi: float) -> float:
@@ -223,7 +218,7 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
     """
     d0 = linalg.dot(g0, p)
     if not d0 < 0:
-        raise NotDescentError(f"p is not a descent direction (g.p = {d0:g})", 0.0, f0, g0, 0)
+        raise NotDescentError(f"p is not a descent direction (g.p = {d0:g})", 0)
 
     trials = []  # (alpha, f, g, g.p) of each trial the objective evaluated, in order
 
@@ -236,10 +231,6 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
         with np.errstate(invalid="ignore"):  # a slope of inf - inf is NaN, which fails curvature() quietly
             trials.append((alpha, f, g, linalg.dot(g, p)))
         return trials[-1][1:]
-
-    def failure(message: str) -> LineSearchError:  # carries the first trial with the lowest f below f0
-        lower = [t[:3] for t in trials if isfinite(t[1]) and t[1] < f0]
-        return LineSearchError(message, *min(lower, key=lambda t: t[1], default=(0.0, f0, g0)), len(trials))
 
     def sufficient(alpha: float, f: float) -> bool:
         return isfinite(f) and f <= f0 + cfg.c1 * alpha * d0
@@ -263,7 +254,7 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
                   and (2 * cfg.c1 - 1) * d0 >= t[3] >= -cfg.c2 * abs(d0)]
         if approx:
             return (*min(approx, key=lambda t: t[1]), len(trials))
-        raise failure("zoom budget exhausted without a Wolfe step")
+        raise LineSearchError("zoom budget exhausted without a Wolfe step", len(trials))
 
     a_prev, f_prev, d_prev = 0.0, f0, d0
     a = 1.0
@@ -276,7 +267,7 @@ def wolfe_line_search(obj: Objective, x: np.ndarray, p: np.ndarray, f0: float,
         if d_a >= 0:
             return zoom(a, f_a, d_a, a_prev, f_prev)
         if a >= ALPHA_MAX:
-            raise failure("step cap reached without a Wolfe step")
+            raise LineSearchError("step cap reached without a Wolfe step", len(trials))
         a_prev, f_prev, d_prev = a, f_a, d_a
         a = min(2.0 * a, ALPHA_MAX)
 
@@ -363,10 +354,10 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     no update since the last reset), where that retry would repeat the
     failed search. A direction that is not descent (g.p >= 0 or NaN) fails
     its search without a trial. A failure with no retry left ends the run
-    with status ``line_search_failed``, after recording the best trial of
-    that search if it lowered f. Otherwise the run ends with
-    ``converged_grad`` (|g| <= grad_tol) or ``max_iters``. An (s, y) pair
-    that ``bfgs_update_inv_hessian`` refuses is a skipped update.
+    with status ``line_search_failed`` at its last accepted iterate, as
+    scipy's BFGS does. Otherwise the run ends with ``converged_grad``
+    (|g| <= grad_tol) or ``max_iters``. An (s, y) pair that
+    ``bfgs_update_inv_hessian`` refuses is a skipped update.
     """
     x = np.array(x0, dtype=np.float64)
     if x.shape != (obj.dim,) or not np.all(np.isfinite(x)):
@@ -375,21 +366,19 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
     if not (np.isfinite(f) and np.all(np.isfinite(g))):
         raise ValueError("objective is not finite at the starting point")
     h_inv = None  # H = I
-    iteration = n_skipped_updates = n_restarts = n_salvaged = 0
+    iteration = n_skipped_updates = n_restarts = 0
     n_fevals = 1
-    status = None
 
     while True:
-        # Record the iterate: the start, an accepted Wolfe step or a salvaged trial.
+        # Record the iterate: the start or an accepted Wolfe step.
         grad_norm = np.linalg.norm(g)
         if callback is not None:
             callback(iteration, x, f, grad_norm)
-        if status is None:
-            if stop.grad_tol > 0 and grad_norm <= stop.grad_tol:
-                status = STATUS_CONVERGED_GRAD
-            elif iteration >= stop.max_iters:
-                status = STATUS_MAX_ITERS
-        if status is not None:
+        if stop.grad_tol > 0 and grad_norm <= stop.grad_tol:
+            status = STATUS_CONVERGED_GRAD
+            break
+        if iteration >= stop.max_iters:
+            status = STATUS_MAX_ITERS
             break
 
         # The quasi-Newton direction, then once more from steepest descent with
@@ -405,29 +394,24 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
                 break
             except LineSearchError as err:
                 n_fevals += err.evals
-                failure, h_inv = err, None
+                h_inv = None
         else:
             status = STATUS_LINE_SEARCH_FAILED
-            if not failure.alpha > 0:
-                break
-            # Salvage the best trial the failed search saw: it lowered f.
-            alpha, f_new, g_new = failure.alpha, failure.f, failure.g
-            n_salvaged = 1
+            break
 
         x_new = x + alpha * p
-        if status is None:
-            s = x_new - x
-            y = g_new - g
-            h_new = np.eye(x.size) if h_inv is None else h_inv
-            try:  # a refused pair raises before anything is written
-                h_inv = bfgs_update_inv_hessian(h_new, s, y)
-                skipped = False
-            except CurvatureError:
-                n_skipped_updates += 1
-                skipped = True
-            if step_observer is not None:
-                step_observer(StepRecord(iteration + 1, x, p, alpha, f, g, f_new, g_new, s, y,
-                                         h_new.copy(), skipped))
+        s = x_new - x
+        y = g_new - g
+        h_new = np.eye(x.size) if h_inv is None else h_inv
+        try:  # a refused pair raises before anything is written
+            h_inv = bfgs_update_inv_hessian(h_new, s, y)
+            skipped = False
+        except CurvatureError:
+            n_skipped_updates += 1
+            skipped = True
+        if step_observer is not None:
+            step_observer(StepRecord(iteration + 1, x, p, alpha, f, g, f_new, g_new, s, y,
+                                     h_new.copy(), skipped))
         x, f, g = x_new, f_new, g_new
         iteration += 1
 
@@ -440,7 +424,6 @@ def bfgs_minimize(obj: Objective, x0, stop: StopCriteria = StopCriteria(),
         n_skipped_updates=n_skipped_updates,
         n_fevals=n_fevals,
         n_restarts=n_restarts,
-        n_salvaged=n_salvaged,
     )
 
 

@@ -212,7 +212,7 @@ def test_bfgs_ends_defined_when_objective_turns_non_finite(case, part, value, k)
     assert part != "raise" or calls < k
     assert k > 1
     assert res.status in (STATUS_CONVERGED_GRAD, STATUS_MAX_ITERS, STATUS_LINE_SEARCH_FAILED)
-    assert np.all(np.isfinite(res.x_final)) and np.isfinite(res.f_final)
+    assert np.all(np.isfinite(res.x_final)) and np.isfinite(res.f_final) and np.isfinite(res.grad_norm_final)
     hypothesis.event(f"status {res.status}, poisoned {'yes' if calls >= k else 'no'}")
 
 
