@@ -3,8 +3,8 @@
 Everything is 64-bit float: vectors are 1-D numpy arrays, matrices are
 2-D row-major numpy arrays. ``dot`` is a shape-checked inner product;
 ``is_symmetric`` and ``is_spd`` test the inverse-Hessian invariants.
-Other products and norms are plain numpy (``@``, ``np.outer``,
-``np.linalg.norm``).
+Other products are plain numpy (``@``, ``np.dot``, ``np.outer``), and the
+optimizers form a norm as ``sqrt(v.v)``, ``np.linalg.norm``'s arithmetic.
 """
 
 from __future__ import annotations

@@ -48,7 +48,7 @@ NORM_HI = 0.9
 # entry is the textbook IEEE expression.
 _KERNEL_SOURCE = Path(__file__).with_name("_kernels.c")
 _KERNEL_BUILD = ("cc", "-O3", "-ffp-contract=off", "-fno-fast-math", "-shared", "-fPIC")
-_KERNEL_SIGNATURES = {  # name -> argument types; every kernel returns nothing
+_KERNEL_SIGNATURES = {  # name -> argument types, the one table of them; every kernel returns nothing
     "rank_two_update": (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p),
     "sigmoid_begin": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_ssize_t),
     "sigmoid_end": (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_ssize_t),
@@ -65,7 +65,10 @@ class KernelBuildError(RuntimeError):
 @cache
 def _kernels() -> ctypes.CDLL:
     """Build ``_kernels.c`` with ``cc`` and load it, once per process, from a
-    temporary directory that is removed once the library is loaded."""
+    temporary directory that is removed once the library is loaded.
+
+    Each kernel's ``argtypes`` stays unset, so a call converts nothing: every
+    caller passes the ctypes objects that ``_kernel_args`` builds."""
     import subprocess  # here, not at the top: importing qnmlp should not pay for it
 
     try:
@@ -77,11 +80,16 @@ def _kernels() -> ctypes.CDLL:
     except (OSError, subprocess.CalledProcessError) as err:
         detail = " ".join(str(getattr(err, "stderr", None) or err).split())
         raise KernelBuildError(f"the compiled kernels could not be built with the C compiler 'cc': {detail}") from None
-    for name, argtypes in _KERNEL_SIGNATURES.items():
-        function = getattr(kernels, name)
-        function.argtypes = argtypes
-        function.restype = None
+    for name in _KERNEL_SIGNATURES:
+        getattr(kernels, name).restype = None
     return kernels
+
+
+def _kernel_args(name: str, *values: int) -> tuple:
+    """The kernel's arguments, addresses and counts, as the ctypes objects that
+    ``_KERNEL_SIGNATURES`` names for it, in order. Without ``argtypes`` a bare
+    int would go to C as a 32-bit int."""
+    return tuple(kind(value) for kind, value in zip(_KERNEL_SIGNATURES[name], values, strict=True))
 
 
 def _store_count(owner, name: str) -> int:
@@ -255,8 +263,9 @@ class _Pass:
     ``Dataset._pass`` builds one per partition and topology, at first use.
     It allocates a parameter buffer, a gradient buffer and four blocks once,
     the activations ``hidden`` and ``out`` and the deltas ``d_hid`` and
-    ``d_out``, and reads their addresses once (``ndarray.ctypes.data`` costs
-    about a microsecond). Each call copies its parameters into the buffer and
+    ``d_out``, and binds each kernel call's arguments once, as ctypes objects
+    (``ndarray.ctypes.data`` costs about a microsecond, and a call that converts
+    its arguments another). Each call copies its parameters into the buffer and
     overwrites all four blocks before reading them, so no call sees another's
     values; the delta blocks take exp's argument first, and ``out`` ends
     holding the squared residuals. Two threads must not share one pass.
@@ -266,7 +275,10 @@ class _Pass:
         if x.shape[1] != topology.n_in:
             raise ValueError(f"dataset rows have {x.shape[1]} inputs, network expects {topology.n_in}")
         n, n_hidden = x.shape[0], topology.n_hidden
-        self.kernels, self.topology, self.x, self.t = _kernels(), topology, x, t  # output_delta reads t by address
+        self.topology, self.x, self.t = topology, x, t  # output_delta reads t by address
+        kernels = _kernels()
+        self.sigmoid_begin, self.sigmoid_end, self.output_delta, self.hidden_delta = (
+            kernels.sigmoid_begin, kernels.sigmoid_end, kernels.output_delta, kernels.hidden_delta)
         self.params, self.grad = np.empty(topology.n_params), np.empty(topology.n_params)
         self.hidden, self.d_hid = np.empty((n, n_hidden)), np.empty((n, n_hidden))
         self.out, self.d_out = np.empty((n, 1)), np.empty((n, 1))
@@ -274,12 +286,17 @@ class _Pass:
         self.gw1, self.gb1, self.gw2, self.gb2 = unpack_params(topology, self.grad)
         self.d_hid_t, self.d_out_t, self.squares = self.d_hid.T, self.d_out.T, self.out[:, 0]
         hid_at, d_hid_at, out_at, d_out_at = (a.ctypes.data for a in (self.hidden, self.d_hid, self.out, self.d_out))
-        # Each layer's input, transposed weights, activations and exp's argument, then
-        # sigmoid_begin's arguments; then output_delta's and hidden_delta's.
-        self.layers = ((x, w1.T, self.hidden, self.d_hid, hid_at, d_hid_at, b1.ctypes.data, n, n_hidden),
-                       (self.hidden, w2.T, self.out, self.d_out, out_at, d_out_at, b2.ctypes.data, n, 1))
-        self.out_delta = (d_out_at, out_at, t.ctypes.data, n)
-        self.hid_delta = (d_hid_at, self.gb1.ctypes.data, d_out_at, w2.ctypes.data, hid_at, n, n_hidden)
+        # Each layer's input, transposed weights and exp's argument, then sigmoid_begin's
+        # and sigmoid_end's arguments; then output_delta's and hidden_delta's.
+        self.layers = ((x, w1.T, self.hidden, self.d_hid,
+                        _kernel_args("sigmoid_begin", hid_at, d_hid_at, b1.ctypes.data, n, n_hidden),
+                        _kernel_args("sigmoid_end", hid_at, d_hid_at, n * n_hidden)),
+                       (self.hidden, w2.T, self.out, self.d_out,
+                        _kernel_args("sigmoid_begin", out_at, d_out_at, b2.ctypes.data, n, 1),
+                        _kernel_args("sigmoid_end", out_at, d_out_at, n)))
+        self.output_delta_args = _kernel_args("output_delta", d_out_at, out_at, t.ctypes.data, n)
+        self.hidden_delta_args = _kernel_args("hidden_delta", d_hid_at, self.gb1.ctypes.data, d_out_at,
+                                              w2.ctypes.data, hid_at, n, n_hidden)
 
     @staticmethod
     def nbytes(topology: Topology, rows: int) -> int:
@@ -290,15 +307,15 @@ class _Pass:
         """Both layers' activations for params, into ``hidden`` and ``out``: ``sigmoid``
         of each weighted sum plus bias, with the two passes around numpy's exp in C."""
         np.copyto(self.params, params)
-        for a, w_t, z, t, z_at, t_at, b_at, rows, cols in self.layers:
+        for a, w_t, z, t, begin_args, end_args in self.layers:
             np.matmul(a, w_t, out=z)
-            self.kernels.sigmoid_begin(z_at, t_at, b_at, rows, cols)
+            self.sigmoid_begin(*begin_args)
             np.exp(t, out=t)
-            self.kernels.sigmoid_end(z_at, t_at, z.size)
+            self.sigmoid_end(*end_args)
 
     def loss(self, params: np.ndarray) -> float:
         self.forward(params)
-        self.kernels.output_delta(*self.out_delta)
+        self.output_delta(*self.output_delta_args)
         return float(np.add.reduce(self.squares) / self.squares.size)  # np.mean's float64 sum and division
 
     def loss_and_grad(self, params: np.ndarray):
@@ -309,7 +326,7 @@ class _Pass:
         loss = self.loss(params)
         np.matmul(self.d_out_t, self.hidden, out=self.gw2)
         np.add.reduce(self.d_out, axis=0, out=self.gb2)
-        self.kernels.hidden_delta(*self.hid_delta)
+        self.hidden_delta(*self.hidden_delta_args)
         np.matmul(self.d_hid_t, self.x, out=self.gw1)
         if self.topology.n_hidden == 1:  # numpy sums a single column pairwise, not row by row
             np.add.reduce(self.d_hid, axis=0, out=self.gb1)

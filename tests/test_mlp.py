@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import pickle
 import tracemalloc
@@ -19,7 +20,7 @@ from qnmlp import (
     sigmoid,
     unpack_params,
 )
-from qnmlp.mlp import _Pass, relative_error
+from qnmlp.mlp import _KERNEL_SIGNATURES, _kernels, _Pass, relative_error
 
 
 def make_dataset(rng, n_rows, n_in, split_index):
@@ -469,6 +470,39 @@ class TestFiniteDiffGrad:
         data = make_dataset(np.random.default_rng(0), 4, 1, 3)
         finite_diff_grad(net, data, "train", 1e-5)
         assert np.array_equal(net.params, before)
+
+
+class TestKernelArguments:
+    """``_KERNEL_SIGNATURES`` is the one source of the kernels' argument types. No kernel
+    has ``argtypes`` set, so without the table's ctypes objects a bare int would go to C
+    as a 32-bit int."""
+
+    def test_kernels_leave_argtypes_unset(self):
+        kernels = _kernels()
+        for name in _KERNEL_SIGNATURES:
+            assert getattr(kernels, name).argtypes is None, name
+            assert getattr(kernels, name).restype is None, name
+
+    @pytest.mark.parametrize("hidden", [1, 4])
+    def test_pass_binds_the_types_the_table_names(self, hidden, monkeypatch):
+        rng = np.random.default_rng(hidden)
+        t = Topology(2, hidden, 1)
+        data = make_dataset(rng, 12, 2, 9)
+        net = Network(t, rng.uniform(-1.0, 1.0, t.n_params))
+        bound = data._pass("train", t)
+        calls = []
+
+        def checked(*args, name, kernel):  # checks before the call: a wrong type could crash it
+            calls.append(name)
+            assert tuple(type(a) for a in args) == _KERNEL_SIGNATURES[name], name
+            kernel(*args)
+
+        for name in ("sigmoid_begin", "sigmoid_end", "output_delta", "hidden_delta"):
+            monkeypatch.setattr(bound, name, functools.partial(checked, name=name, kernel=getattr(bound, name)))
+        f, g = bound.loss_and_grad(net.params)
+        assert calls == ["sigmoid_begin", "sigmoid_end"] * 2 + ["output_delta", "hidden_delta"]
+        expected = loss_and_grad(net, copy.deepcopy(data))  # from a pass of its own
+        assert f == expected[0] and g.tobytes() == expected[1].tobytes()
 
 
 class TestKernelBits:

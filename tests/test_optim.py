@@ -1,4 +1,5 @@
 import ast
+import warnings
 from math import exp
 
 import numpy as np
@@ -190,6 +191,46 @@ class TestWolfeLineSearch:
         assert min(f_t for f_t, _ in seen) == 1.0
         assert not f <= 1.0 + cfg.c1 * alpha * d0  # not a strong-Wolfe step
 
+    @pytest.mark.parametrize("outcome", ["returns", "LineSearchError", "NotDescentError"])
+    def test_search_puts_back_the_callers_error_state(self, outcome):
+        # The search turns numpy's overflow and invalid-value warnings off once, around
+        # its bracket and zoom, and the caller's state is back however it ends.
+        parabola = lambda x: (x[0] ** 2, 2.0 * x)
+        fun, direction = {"returns": (parabola, -1.0),
+                          "LineSearchError": (lambda x: (-x[0], np.array([-1.0])), 1.0),  # the step cap
+                          "NotDescentError": (parabola, 1.0)}[outcome]
+        obj, x = Objective(fun, 1), np.array([1.0])
+        f0, g0 = obj.eval(x)
+        with np.errstate(all="raise"):
+            before = np.geterr()
+            try:
+                wolfe_line_search(obj, x, np.array([direction]), f0, g0)
+            except LineSearchError as failure:
+                assert type(failure).__name__ == outcome
+            else:
+                assert outcome == "returns"
+            assert np.geterr() == before
+
+    def test_objective_that_overflows_is_quiet(self):
+        # f = exp(x) - 2x from x = -1 along p = 1000: the unit step's exp(999) overflows
+        # to inf, which fails sufficient decrease, and the zoom finds a step below it.
+        seen = []
+
+        def fun(x):
+            seen.append(x[0])
+            e = np.exp(x)
+            return e[0] - 2.0 * x[0], e - 2.0
+
+        obj, x, p = Objective(fun, 1), np.array([-1.0]), np.array([1e3])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            obj.eval(x + p)  # outside a search the objective warns
+        f0, g0 = obj.eval(x)
+        seen.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alpha, f, _, _ = wolfe_line_search(obj, x, p, f0, g0)
+        assert seen[0] == 999.0 and np.isfinite(f) and 0 < alpha < 1
+
     def test_unbounded_linear_descent_fails(self):
         # f(x) = -x has constant slope: the curvature condition can never hold
         obj = Objective(lambda x: (-x[0], np.array([-1.0])), 1)
@@ -358,6 +399,30 @@ class TestBfgsUpdates:
         assert h[0, 1] == 0.0, (
             f"the update kernel gave {h[0, 1]!r}, not 0.0: the C compiler fused multiply and add, "
             "so the inverse-Hessian update's bits, which depend on each product being rounded, differ")
+
+    def test_kernel_gets_the_types_the_table_names(self, monkeypatch):
+        # The kernel has no argtypes: each call's arguments are the ctypes objects that
+        # mlp._KERNEL_SIGNATURES names, built per call, as h and u, s change.
+        from types import SimpleNamespace
+
+        from qnmlp.mlp import _KERNEL_SIGNATURES
+
+        kernel, calls = optim._kernels().rank_two_update, []
+
+        def checked(*args):  # checks before the call: a wrong type could crash it
+            calls.append(tuple(type(a) for a in args))
+            assert calls[-1] == _KERNEL_SIGNATURES["rank_two_update"]
+            kernel(*args)
+
+        monkeypatch.setattr(optim, "_kernels", lambda: SimpleNamespace(rank_two_update=checked))
+        rng = np.random.default_rng(4)
+        h = np.eye(6)
+        for _ in range(2):
+            s = rng.standard_normal(6)
+            y = 2.0 * s + 0.1 * rng.standard_normal(6)
+            expected = reference_expanded_update(h, s, y)
+            assert bfgs_update_inv_hessian(h, s, y) is h and np.array_equal(h, expected)
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("view", ["row", "column"])
     def test_s_that_is_a_view_into_h(self, view):

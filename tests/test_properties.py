@@ -1,6 +1,7 @@
 """Property tests: the inverse-Hessian update, the strong-Wolfe line search,
-the generated online-GD epoch under overflow, and both trainers on an
-objective that turns non-finite or raises.
+the generated online-GD epoch under overflow, both trainers on an
+objective that turns non-finite or raises, and the same bits of the
+optimizers' inner products and norms against ``linalg.dot`` and ``np.linalg.norm``.
 
 Hypothesis draws the cases with ``derandomize=True`` and no example
 database, so every run tries the same examples and the suite stays
@@ -9,6 +10,7 @@ witness that a strong-Wolfe step exists on each drawn function. Skipped
 when hypothesis or scipy is not installed.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -27,6 +29,7 @@ from qnmlp import (
     bfgs_update_inv_hessian,
     gd_train,
     init_params,
+    linalg,
     optim,
     unpack_params,
     wolfe_line_search,
@@ -235,3 +238,33 @@ def test_gd_ends_diverged_when_loss_turns_non_finite(poison, k):
         assert not isinstance(poison, Poisoned)
         assert res.status == STATUS_DIVERGED and res.iters == max(k - 2, 0)
     assert np.all(np.isfinite(trained.params))
+
+
+@st.composite
+def float64_vectors(draw, n):
+    """A float64 vector of length n whose entries have either sign and magnitudes
+    10**e, e uniform on a drawn span of [-150, 150], so that squares and products stay
+    normal and finite; then up to three entries are set to inf, -inf or NaN."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = sorted((draw(st.floats(-150.0, 150.0)), draw(st.floats(-150.0, 150.0))))
+    v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(lo, hi, n)
+    for i in draw(st.lists(st.integers(0, n - 1), max_size=3)):
+        v[i] = draw(st.sampled_from(NON_FINITE))
+    return v
+
+
+def same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@hypothesis.settings(PROPERTY, max_examples=150)
+@hypothesis.given(data=st.data(), n=st.integers(1, 600))
+def test_folded_dot_and_norm_keep_the_bits(data, n):
+    # optim forms |v| as sqrt(v.v) and the inner products of the vectors it has just made
+    # with np.dot, in place of np.linalg.norm and linalg.dot: the same bits, NaN included.
+    a, b = data.draw(float64_vectors(n)), data.draw(float64_vectors(n))
+    assert same_bits(math.sqrt(np.dot(a, a)), np.linalg.norm(a))
+    with np.errstate(invalid="ignore"):  # inf * 0 and inf - inf warn in both forms alike
+        ab = linalg.dot(a, b)
+        assert same_bits(float(np.dot(a, b)), ab)
+    hypothesis.event(f"a.b {'finite' if math.isfinite(ab) else 'NaN' if math.isnan(ab) else 'infinite'}")
