@@ -264,11 +264,12 @@ class _Pass:
     It allocates a parameter buffer, a gradient buffer and four blocks once,
     the activations ``hidden`` and ``out`` and the deltas ``d_hid`` and
     ``d_out``, and binds each kernel call's arguments once, as ctypes objects
-    (``ndarray.ctypes.data`` costs about a microsecond, and a call that converts
-    its arguments another). Each call copies its parameters into the buffer and
-    overwrites all four blocks before reading them, so no call sees another's
-    values; the delta blocks take exp's argument first, and ``out`` ends
-    holding the squared residuals. Two threads must not share one pass.
+    (``ndarray.ctypes.data`` costs about a microsecond, and converting a call's
+    ints through ``argtypes`` about a third of one). Each call copies its
+    parameters into the buffer and overwrites all four blocks before reading
+    them, so no call sees another's values; the delta blocks take exp's
+    argument first, and ``out`` ends holding the squared residuals. Two
+    threads must not share one pass.
     """
 
     def __init__(self, topology: Topology, x: np.ndarray, t: np.ndarray):
